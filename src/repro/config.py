@@ -32,8 +32,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 
+@lru_cache(maxsize=None)
 def _mesh_dims(n: int) -> tuple:
     """Closest-to-square factorization of ``n`` for the 2-D mesh."""
     best = (1, n)
@@ -122,7 +124,11 @@ class SystemConfig:
         return self.switch_latency + self.wire_latency
 
     def hops(self, src: int, dst: int) -> int:
-        """Dimension-order (Manhattan) hop count between two mesh nodes."""
+        """Dimension-order (Manhattan) hop count between two mesh nodes.
+
+        The one definition of mesh distance; the fabric's send path
+        computes the same sum inline from per-node coordinate lists.
+        """
         if src == dst:
             return 0
         w, _h = self.mesh_dims

@@ -29,7 +29,7 @@ callbacks (the bug class the explicit-seq tie-break exists to prevent).
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional, Tuple
 
 #: Lane of events a node schedules for itself (FIFO by insertion).
@@ -39,13 +39,22 @@ LANE_REMOTE = 1
 
 
 class EventQueue:
-    """Min-heap of ``(time, lane, k1, k2, seq, callback, args)`` events."""
+    """Min-heap of ``(time, lane, k1, k2, seq, callback, args)`` events.
 
-    __slots__ = ("_heap", "_seq")
+    ``push`` and ``push_remote`` are the only places a heap key is built
+    (one function per lane).  ``now`` is the queue's clock: the time of
+    the latest popped event.  Scheduling before it is a programming
+    error and raises.  A driver that pops the heap itself (the serial
+    :class:`~repro.engine.simulator.Simulator`, which *is* an event
+    queue) advances ``now`` itself.
+    """
+
+    __slots__ = ("_heap", "_seq", "now")
 
     def __init__(self) -> None:
         self._heap: list = []
         self._seq: int = 0
+        self.now: int = 0
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -59,36 +68,48 @@ class EventQueue:
         Events at equal times fire in insertion (FIFO) order, by an
         explicit monotonic sequence number.
         """
-        if time < 0:
-            raise ValueError("event time must be non-negative")
+        if time < self.now:
+            raise ValueError(
+                f"event scheduled in the past: {time} < now={self.now}"
+            )
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(
-            self._heap, (time, LANE_LOCAL, seq, 0, seq, callback, args)
-        )
+        heappush(self._heap, (time, LANE_LOCAL, seq, 0, seq, callback, args))
 
     def push_remote(
-        self, time: int, src: int, src_seq: int, callback: Callable, args: tuple
+        self,
+        time: int,
+        src: int,
+        src_seq: int,
+        callback: Callable,
+        args: tuple,
+        dst: int = -1,
     ) -> None:
         """Schedule a remote arrival from ``src`` with canonical key
         ``(time, src, src_seq)``.
 
         ``src_seq`` must be unique per source (the fabric's per-node send
         counter), making the key a total order independent of insertion
-        order — and therefore of the shard layout.
+        order — and therefore of the shard layout.  ``dst`` is the
+        destination node: a sharded scheduler routes on it, a single
+        queue ignores it.
         """
-        if time < 0:
-            raise ValueError("event time must be non-negative")
+        if time < self.now:
+            raise ValueError(
+                f"arrival scheduled in the past: {time} < now={self.now}"
+            )
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(
+        heappush(
             self._heap, (time, LANE_REMOTE, src, src_seq, seq, callback, args)
         )
 
     def pop(self) -> Tuple[int, Callable, tuple]:
-        """Remove and return the earliest ``(time, callback, args)``."""
-        entry = heapq.heappop(self._heap)
-        return entry[0], entry[5], entry[6]
+        """Remove the earliest event, advance ``now`` to its time and
+        return ``(time, callback, args)``."""
+        time, _lane, _k1, _k2, _seq, callback, args = heappop(self._heap)
+        self.now = time
+        return time, callback, args
 
     def peek_time(self) -> Optional[int]:
         """Time of the earliest pending event, or ``None`` if empty."""

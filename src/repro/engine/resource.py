@@ -1,13 +1,12 @@
 """Busy-until occupancy resources.
 
-Network interfaces, memory modules, local buses and protocol processors
-are all modeled as serially-occupied resources: a request arriving at time
-``t`` begins service at ``max(t, free_at)`` and holds the resource for its
-occupancy.  Because the global event loop processes events in
-non-decreasing time order, reservations are made in (approximately)
-arrival order, which is exactly the endpoint-contention model the paper
-uses ("contention at the sending and receiving nodes of a message, but
-not at the nodes in-between").
+Memory modules, local buses and protocol processors are modeled as
+serially-occupied resources: a request arriving at time ``t`` begins
+service at ``max(t, free_at)`` and holds the resource for its occupancy.
+Because the global event loop processes events in non-decreasing time
+order, reservations are made in (approximately) arrival order.  The
+fabric's network interfaces follow the same busy-until rule, kept as
+flat per-channel ``free_at`` lists (:mod:`repro.network.fabric`).
 """
 
 from __future__ import annotations
@@ -30,29 +29,12 @@ class Resource:
         Returns the *completion* time of the reservation.  ``duration`` of
         zero returns ``max(t, free_at)`` without occupying anything.
         """
-        start = t if t >= self.free_at else self.free_at
-        end = start + duration
+        free = self.free_at
+        end = (t if t >= free else free) + duration
         self.free_at = end
         self.busy_cycles += duration
         self.requests += 1
         return end
-
-    def enqueue(self, t: int, duration: int) -> int:
-        """Like :meth:`reserve`, but return the *start* of service.
-
-        Used where the caller wants the pipelined view: the transfer
-        begins as soon as the resource frees up, and downstream latency is
-        computed from that start time.
-        """
-        start = t if t >= self.free_at else self.free_at
-        self.free_at = start + duration
-        self.busy_cycles += duration
-        self.requests += 1
-        return start
-
-    def start_after(self, t: int) -> int:
-        """Earliest time a new reservation could begin (no side effects)."""
-        return t if t >= self.free_at else self.free_at
 
     def reset(self) -> None:
         self.free_at = 0

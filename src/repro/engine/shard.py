@@ -104,7 +104,6 @@ class ShardedSimulator(Simulator):
         self.shard_of = shard_map(n_procs, shards)
         self.queues = [EventQueue() for _ in range(shards)]
         self.boundary = ShardBoundary(shards)
-        self.queue = self.queues[0]  # base-class slot; not used for routing
         self.epochs = 0
         self.barrier_hook = None
         self._cur = 0
@@ -123,23 +122,18 @@ class ShardedSimulator(Simulator):
         self._cur = self.shard_of[node_id]
 
     def at(self, time: int, callback: Callable, *args: Any) -> None:
-        if time < self.now:
-            raise ValueError(
-                f"event scheduled in the past: {time} < now={self.now}"
-            )
+        # The shard queue's own clock is the past-check floor: inside a
+        # window it equals ``now``.
         self.queues[self._cur].push(time, callback, *args)
-
-    def after(self, delay: int, callback: Callable, *args: Any) -> None:
-        self.queues[self._cur].push(self.now + delay, callback, *args)
 
     def deliver_remote(
         self,
         time: int,
         src: int,
         src_seq: int,
-        dst: int,
         callback: Callable,
-        *args: Any,
+        args: tuple,
+        dst: int,
     ) -> None:
         ds = self.shard_of[dst]
         if ds == self._cur:

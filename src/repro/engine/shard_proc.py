@@ -79,7 +79,7 @@ from repro.engine.checkpoint import Checkpoint, CheckpointError, restore_machine
 from repro.engine.simulator import DeadlockError
 from repro.faults.watchdog import SimulationStall
 from repro.network.fabric import Fabric
-from repro.network.messages import RELIABILITY_COUNTERS, MessageStats
+from repro.network.messages import MessageStats
 from repro.stats.counters import _MACHINE_COUNTERS, ProcStats
 
 log = logging.getLogger(__name__)
@@ -159,9 +159,10 @@ def _check_supported(machine) -> None:
 # One cross-shard arrival:
 #   (dst_shard, arrival, src, src_seq, ctl, dst, occ, handler_name, handler_args)
 # The parent strips dst_shard when routing; workers rebind the receive
-# NIC from (ctl, dst) and the handler from its name on their own
-# protocol object.  Handler args are plain data (ints/tuples/None) for
-# every protocol message — anything else fails loudly at encode time.
+# NIC list (the fabric's ctl_in or data_in, indexed by dst) from ctl and
+# the handler from its name on their own protocol object.  Handler args
+# are plain data (ints/tuples/None) for every protocol message —
+# anything else fails loudly at encode time.
 
 
 def _encode_outbound(machine) -> List[tuple]:
@@ -179,10 +180,8 @@ def _encode_outbound(machine) -> List[tuple]:
                     f"cannot ship callback {callback!r} between shard "
                     "processes (expected Fabric._arrive)"
                 )
-            nic_in, occ, handler, hargs = args
-            name = nic_in.name  # "nic_in[7]" or "nic_in_ctl[7]"
-            ctl = name.startswith("nic_in_ctl")
-            dst = int(name[name.index("[") + 1 : -1])
+            chan, dst, occ, handler, hargs = args
+            ctl = chan is fab.ctl_in
             out.append(
                 (shard, time, src, sseq, ctl, dst, occ, handler.__name__, hargs)
             )
@@ -196,10 +195,10 @@ def _push_inbound(machine, records) -> None:
     fab = machine.fabric
     sim = machine.sim
     for time, src, sseq, ctl, dst, occ, hname, hargs in records:
-        nic = (fab.nic_in_ctl if ctl else fab.nic_in)[dst]
+        chan = fab.ctl_in if ctl else fab.data_in
         handler = getattr(machine.protocol, hname)
         sim.queues[sim.shard_of[dst]].push_remote(
-            time, src, sseq, fab._arrive, (nic, occ, handler, hargs)
+            time, src, sseq, fab._arrive_cb, (chan, dst, occ, handler, hargs)
         )
 
 
@@ -672,12 +671,7 @@ def _merge(machine, finals) -> None:
             stats.procs[i] = ProcStats.from_dict(d)
         for c in _MACHINE_COUNTERS:
             setattr(stats, c, getattr(stats, c) + payload["machine"][c])
-        t = MessageStats.from_dict(payload["traffic"])
-        traffic.count.update(t.count)
-        traffic.bytes.update(t.bytes)
-        traffic.total_hops += t.total_hops
-        for name in RELIABILITY_COUNTERS:
-            setattr(traffic, name, getattr(traffic, name) + getattr(t, name))
+        traffic.merge(MessageStats.from_dict(payload["traffic"]))
         if cls is not None and payload["logs"]:
             for p, log_ in payload["logs"].items():
                 cls._logs.setdefault(p, []).extend(log_)

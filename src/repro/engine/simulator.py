@@ -5,16 +5,20 @@ protocol components schedule callbacks on it; :meth:`Simulator.run` drains
 events until the queue is empty (all programs finished) or a safety limit
 is reached.
 
-Cross-node deliveries go through :meth:`Simulator.deliver_remote`, which
-inserts them with the canonical remote-lane key ``(time, src, src_seq)``
-(see :mod:`repro.engine.events`).  The sharded scheduler
-(:mod:`repro.engine.shard`) overrides only that routing decision — the
+The serial simulator *is* its event queue: :meth:`Simulator.at` and
+:meth:`Simulator.deliver_remote` are the queue's own ``push`` and
+``push_remote``, so scheduling an event costs one call and builds the
+key in the one place each lane's key is defined.  Cross-node deliveries
+carry the canonical remote-lane key ``(time, src, src_seq)`` (see
+:mod:`repro.engine.events`).  The sharded scheduler
+(:mod:`repro.engine.shard`) overrides only the routing decision — the
 per-event execution discipline is this class's, which is what makes
 sharded runs bit-identical to serial ones.
 """
 
 from __future__ import annotations
 
+from heapq import heappop
 from typing import Any, Callable
 
 from repro.engine.events import EventQueue
@@ -24,12 +28,10 @@ class DeadlockError(RuntimeError):
     """Raised when the event queue empties while processors are blocked."""
 
 
-class Simulator:
+class Simulator(EventQueue):
     """Event loop with a monotonically non-decreasing global clock."""
 
     __slots__ = (
-        "queue",
-        "now",
         "max_cycles",
         "events_processed",
         "post_event_hook",
@@ -37,8 +39,7 @@ class Simulator:
     )
 
     def __init__(self, max_cycles: int = 1 << 62) -> None:
-        self.queue = EventQueue()
-        self.now: int = 0
+        super().__init__()
         self.max_cycles = max_cycles
         # Observability hook called (with no arguments) after every event;
         # set before run() (e.g. per-event invariant checking).
@@ -66,39 +67,22 @@ class Simulator:
 
     def has_pending(self) -> bool:
         """Whether any event (including in-flight cross-shard ones) exists."""
-        return bool(self.queue)
+        return bool(self._heap)
 
-    def at(self, time: int, callback: Callable, *args: Any) -> None:
-        """Schedule ``callback(*args)`` at absolute ``time``.
+    #: ``at(time, callback, *args)``: schedule ``callback(*args)`` at
+    #: absolute ``time``; scheduling in the past raises.
+    at = EventQueue.push
 
-        Scheduling in the past is a programming error and raises.
-        """
-        if time < self.now:
-            raise ValueError(
-                f"event scheduled in the past: {time} < now={self.now}"
-            )
-        self.queue.push(time, callback, *args)
+    #: ``deliver_remote(time, src, src_seq, callback, args, dst)``:
+    #: schedule a cross-node arrival at ``dst`` with the canonical
+    #: remote-lane key ``(time, src, src_seq)``.  ``dst`` routes the
+    #: event to its owning shard in sharded mode; the serial simulator
+    #: has a single queue and ignores it.
+    deliver_remote = EventQueue.push_remote
 
     def after(self, delay: int, callback: Callable, *args: Any) -> None:
         """Schedule ``callback(*args)`` ``delay`` cycles from now."""
-        self.queue.push(self.now + delay, callback, *args)
-
-    def deliver_remote(
-        self,
-        time: int,
-        src: int,
-        src_seq: int,
-        dst: int,
-        callback: Callable,
-        *args: Any,
-    ) -> None:
-        """Schedule a cross-node arrival at ``dst`` with the canonical
-        remote-lane key ``(time, src, src_seq)``.
-
-        ``dst`` routes the event to its owning shard in sharded mode; the
-        serial simulator has a single queue and ignores it.
-        """
-        self.queue.push_remote(time, src, src_seq, callback, args)
+        self.at(self.now + delay, callback, *args)
 
     # -- checkpointing (engine.checkpoint; DESIGN.md §15) ------------------------
 
@@ -129,18 +113,22 @@ class Simulator:
 
     def run(self) -> int:
         """Drain the event queue; return the final simulated time."""
-        queue = self.queue
+        heap = self._heap
         hook = self.post_event_hook
         max_cycles = self.max_cycles
-        while queue:
-            time, callback, args = queue.pop()
-            if time > max_cycles:
-                raise RuntimeError(
-                    f"simulation exceeded max_cycles={self.max_cycles}"
-                )
-            self.now = time
-            callback(*args)
-            self.events_processed += 1
-            if hook is not None:
-                hook()
+        n = 0
+        try:
+            while heap:
+                time, _lane, _k1, _k2, _seq, callback, args = heappop(heap)
+                if time > max_cycles:
+                    raise RuntimeError(
+                        f"simulation exceeded max_cycles={self.max_cycles}"
+                    )
+                self.now = time
+                callback(*args)
+                n += 1
+                if hook is not None:
+                    hook()
+        finally:
+            self.events_processed += n
         return self.now

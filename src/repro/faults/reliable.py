@@ -140,7 +140,7 @@ class ReliableFabric(Fabric):
         # Logical traffic is recorded exactly once, here; retransmits
         # and acks are accounted separately so bandwidth figures keep
         # meaning "messages the protocol asked for".
-        self.stats.record(mtype, size, self.mesh.hops(src, dst))
+        self.stats.record(mtype, size, self.config.hops(src, dst))
         ch = "data" if size else "ctl"
         key = (src, dst, ch)
         sc = self._send_ch.get(key)
@@ -162,9 +162,8 @@ class ReliableFabric(Fabric):
     def _transmit(self, key: Tuple[int, int, str], seq: int, entry: _Pending, t: int) -> int:
         src, dst, ch = key
         size = entry.size
-        cfg = self.config
-        occ = cfg.nic_occupancy(size)
-        hops = self.mesh.hops(src, dst)
+        occ = self.occupancy(size)
+        hops = self.config.hops(src, dst)
         if entry.attempts:
             self.stats.retransmits += 1
             if self.tracer is not None:
@@ -172,8 +171,8 @@ class ReliableFabric(Fabric):
                     "fault", src, t=t, dst=dst, seq=seq, ch=ch,
                     what="retransmit", attempt=entry.attempts,
                 )
-        out = (self.nic_out if size else self.nic_out_ctl)[src]
-        start = out.enqueue(t, occ)
+        out = self.data_out if size else self.ctl_out
+        start = self._book(out, src, t, occ)
         arrival = start + self._hop_lat * hops + (occ if size else 0)
         dec = self.injector.decide(src, dst, ch, t)
         if dec.drop:
@@ -192,16 +191,16 @@ class ReliableFabric(Fabric):
             sseq = self._sseq[src]
             self._sseq[src] = sseq + 1
             self.sim.deliver_remote(
-                arrival + dec.extra, src, sseq, dst,
-                self._phys_arrive, key, seq, entry,
+                arrival + dec.extra, src, sseq,
+                self._phys_arrive, (key, seq, entry), dst,
             )
             if dec.dup:
                 self.stats.dups_injected += 1
                 sseq = self._sseq[src]
                 self._sseq[src] = sseq + 1
                 self.sim.deliver_remote(
-                    arrival + dec.extra + _DUP_GAP, src, sseq, dst,
-                    self._phys_arrive, key, seq, entry,
+                    arrival + dec.extra + _DUP_GAP, src, sseq,
+                    self._phys_arrive, (key, seq, entry), dst,
                 )
         rto = self.rto << min(entry.attempts, _BACKOFF_CAP)
         self.sim.at(t + rto, self._check_timeout, key, seq)
@@ -248,10 +247,11 @@ class ReliableFabric(Fabric):
         traffic.
         """
         _src, dst, _ch = key
-        occ = self.config.nic_occupancy(entry.size)
-        nic = (self.nic_in if entry.size else self.nic_in_ctl)[dst]
         now = self.sim.now
-        deliver = nic.enqueue(now, occ)
+        deliver = self._book(
+            self.data_in if entry.size else self.ctl_in, dst, now,
+            self.occupancy(entry.size),
+        )
         if deliver == now:
             self._deliver(key, seq, entry)
         else:
@@ -287,11 +287,9 @@ class ReliableFabric(Fabric):
         src, dst, _ch = key
         now = self.sim.now
         upto = rc.expected
-        cfg = self.config
-        occ = cfg.nic_occupancy(0)
-        hops = self.mesh.hops(dst, src)
+        hops = self.config.hops(dst, src)
         self.stats.record(MsgType.RD_ACK, 0, hops)
-        start = self.nic_out_ctl[dst].enqueue(now, occ)
+        start = self._book(self.ctl_out, dst, now, self._ctl_occ)
         arrival = start + self._hop_lat * hops
         dec = self.injector.decide(dst, src, "ctl", now)
         if dec.drop:
@@ -304,14 +302,12 @@ class ReliableFabric(Fabric):
         sseq = self._sseq[dst]
         self._sseq[dst] = sseq + 1
         self.sim.deliver_remote(
-            arrival + dec.extra, dst, sseq, src, self._phys_ack, key, upto
+            arrival + dec.extra, dst, sseq, self._phys_ack, (key, upto), src
         )
 
     def _phys_ack(self, key: Tuple[int, int, str], upto: int) -> None:
-        src = key[0]
-        occ = self.config.nic_occupancy(0)
         now = self.sim.now
-        deliver = self.nic_in_ctl[src].enqueue(now, occ)
+        deliver = self._book(self.ctl_in, key[0], now, self._ctl_occ)
         if deliver == now:
             self._on_ack(key, upto)
         else:

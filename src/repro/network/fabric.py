@@ -5,13 +5,13 @@ Timing model (Section 3 of the paper):
 * transit of a control message  = ``(switch + wire) * hops``
 * transit of a data message     = ``(switch + wire) * hops + size / net_bw``
 * contention is modeled at the sending and receiving network interfaces
-  (serially-occupied resources), not at intermediate switches.
+  (serially-occupied, busy-until), not at intermediate switches.
 
 A message injected at time ``t`` starts leaving the source NIC at
-``max(t, nic_out.free_at)``; its tail occupies the NIC for the
-serialization time; it arrives at the destination after the transit
-latency; and it is handed to the destination protocol processor no
-earlier than the receive NIC frees up.
+``max(t, free_at)``; its tail occupies the NIC for the serialization
+time; it arrives at the destination after the transit latency; and it
+is handed to the destination protocol processor no earlier than the
+receive NIC frees up.
 
 Delivery is two-phase, and the phase split is what makes the schedule
 *partition-independent* (DESIGN.md §14): the send books only the source
@@ -28,10 +28,8 @@ from __future__ import annotations
 from typing import Any, Callable, List
 
 from repro.config import SystemConfig
-from repro.engine.resource import Resource
 from repro.engine.simulator import Simulator
 from repro.network.messages import DATA_BEARING, MessageStats, MsgType
-from repro.network.topology import Mesh
 
 
 class Fabric:
@@ -41,34 +39,60 @@ class Fabric:
     coherence requests never serialize behind line-sized transfers (the
     request/reply network split of DASH-class machines).  Contention is
     modeled within each channel.
+
+    NIC state is four flat lists, one busy-until cycle per node:
+    ``data_out``/``data_in`` and ``ctl_out``/``ctl_in`` (channel x
+    direction).  A NIC booked at ``t`` for ``occ`` cycles starts at
+    ``max(t, free)`` and is busy until ``start + occ``.
     """
 
     def __init__(self, config: SystemConfig, sim: Simulator) -> None:
         self.config = config
         self.sim = sim
-        self.mesh = Mesh(config)
         self.stats = MessageStats()
         n = config.n_procs
-        self.nic_out: List[Resource] = [Resource(f"nic_out[{i}]") for i in range(n)]
-        self.nic_in: List[Resource] = [Resource(f"nic_in[{i}]") for i in range(n)]
-        self.nic_out_ctl: List[Resource] = [
-            Resource(f"nic_out_ctl[{i}]") for i in range(n)
-        ]
-        self.nic_in_ctl: List[Resource] = [
-            Resource(f"nic_in_ctl[{i}]") for i in range(n)
-        ]
+        self.data_out: List[int] = [0] * n
+        self.data_in: List[int] = [0] * n
+        self.ctl_out: List[int] = [0] * n
+        self.ctl_in: List[int] = [0] * n
+        # Mesh coordinates: hop counts are Manhattan distances between
+        # them (SystemConfig.hops), computed inline on every send.
+        w = config.mesh_dims[0]
+        self._x: List[int] = [i % w for i in range(n)]
+        self._y: List[int] = [i // w for i in range(n)]
         # Per-source send counters: the canonical remote-lane tie-break.
         # Incremented in the sender's own (deterministic) execution order,
         # so the key never depends on cross-node event interleaving.
         self._sseq: List[int] = [0] * n
-        # Hot-path constants hoisted out of send().
+        # Hot-path constants and bound methods hoisted out of send().
         self._hop_lat = config.hop_latency
         self._line = config.line_size
+        self._line_occ = config.nic_occupancy(config.line_size)
+        self._ctl_occ = config.nic_occupancy(0)
+        self._arrive_cb = self._arrive
+        self._deliver_remote = sim.deliver_remote
         # Event tracer (set by Machine when tracing is on).
         self.tracer = None
 
     def payload_size(self, mtype: MsgType) -> int:
         return self._line if mtype in DATA_BEARING else 0
+
+    def occupancy(self, size: int) -> int:
+        """NIC occupancy of a message with ``size`` payload bytes."""
+        if not size:
+            return self._ctl_occ
+        if size == self._line:
+            return self._line_occ
+        return self.config.nic_occupancy(size)
+
+    @staticmethod
+    def _book(nic: List[int], node: int, t: int, occ: int) -> int:
+        """Book ``nic[node]`` at or after ``t`` for ``occ`` cycles; return
+        the start of service (``send`` and ``_arrive`` inline this)."""
+        free = nic[node]
+        start = t if t >= free else free
+        nic[node] = start + occ
+        return start
 
     def send(
         self,
@@ -88,13 +112,14 @@ class Fabric:
         exact hand-off time additionally waits out receive-NIC
         contention, resolved at arrival.
         """
-        cfg = self.config
         if size < 0:
             size = self._line if mtype in DATA_BEARING else 0
+        stats = self.stats
+        stats.count[mtype] += 1
+        stats.bytes[mtype] += size
         if src == dst:
             # Local delivery: no network traversal, only the protocol
             # processor hand-off (modeled by the handler's own costs).
-            self.stats.record(mtype, size, 0)
             if self.tracer is not None:
                 self.tracer.emit(
                     "msg", src, t=t, dst=dst, type=mtype.name, size=size,
@@ -102,17 +127,31 @@ class Fabric:
                 )
             self.sim.at(t, handler, t, *args)
             return t
-        occ = cfg.nic_occupancy(size)
-        hops = self.mesh.hops(src, dst)
+        x = self._x
+        y = self._y
+        dx = x[src] - x[dst]
+        dy = y[src] - y[dst]
+        hops = (dx if dx >= 0 else -dx) + (dy if dy >= 0 else -dy)
+        stats.total_hops += hops
         if size:
-            start = self.nic_out[src].enqueue(t, occ)
+            if size == self._line:
+                occ = self._line_occ
+            else:
+                occ = self.config.nic_occupancy(size)
+            out = self.data_out
+            free = out[src]
+            start = t if t >= free else free
+            out[src] = start + occ
             arrival = start + self._hop_lat * hops + occ
-            nic_in = self.nic_in[dst]
+            chan = self.data_in
         else:
-            start = self.nic_out_ctl[src].enqueue(t, occ)
+            occ = self._ctl_occ
+            out = self.ctl_out
+            free = out[src]
+            start = t if t >= free else free
+            out[src] = start + occ
             arrival = start + self._hop_lat * hops
-            nic_in = self.nic_in_ctl[dst]
-        self.stats.record(mtype, size, hops)
+            chan = self.ctl_in
         if self.tracer is not None:
             self.tracer.emit(
                 "msg", src, t=t, dst=dst, type=mtype.name, size=size,
@@ -120,34 +159,35 @@ class Fabric:
             )
         sseq = self._sseq[src]
         self._sseq[src] = sseq + 1
-        self.sim.deliver_remote(
-            arrival, src, sseq, dst, self._arrive, nic_in, occ, handler, args
+        self._deliver_remote(
+            arrival, src, sseq, self._arrive_cb,
+            (chan, dst, occ, handler, args), dst,
         )
         return arrival
 
     def _arrive(
-        self, nic_in: Resource, occ: int, handler: Callable, args: tuple
+        self,
+        chan: List[int],
+        dst: int,
+        occ: int,
+        handler: Callable,
+        args: tuple,
     ) -> None:
-        """Arrival phase: book the receive NIC, then hand off.
+        """Arrival phase: book the receive NIC ``chan[dst]``, then hand off.
 
         Runs at the destination (in sharded mode: in the destination's
         shard), so the receive NIC is contended in canonical arrival
         order regardless of where the send executed.
         """
-        t = self.sim.now
-        deliver = nic_in.enqueue(t, occ)
-        if deliver == t:
+        sim = self.sim
+        t = sim.now
+        free = chan[dst]
+        if free <= t:
+            chan[dst] = t + occ
             handler(t, *args)
         else:
-            self.sim.at(deliver, handler, deliver, *args)
-
-    def utilization(self) -> dict:
-        """Per-endpoint busy fractions at the current simulated time."""
-        now = max(self.sim.now, 1)
-        return {
-            "out": [r.busy_cycles / now for r in self.nic_out],
-            "in": [r.busy_cycles / now for r in self.nic_in],
-        }
+            chan[dst] = free + occ
+            sim.at(free, handler, free, *args)
 
 
 class ShardBoundary:

@@ -8,8 +8,8 @@ cache line through the network and the endpoints.
 
 from __future__ import annotations
 
-from collections import Counter
 from enum import IntEnum
+from typing import List
 
 
 class MsgType(IntEnum):
@@ -39,6 +39,14 @@ class MsgType(IntEnum):
     TS_BUMP = 21          # tardis: advance a block's write timestamp at home
 
 
+# The members as module constants (``from repro.network.messages import
+# ACK``), the way :mod:`re` exports its flags.  Send sites name a type
+# on every message, and on CPython 3.11 a module-global load is several
+# times cheaper than ``MsgType.ACK``, which goes through the enum
+# metaclass's ``__getattr__`` hook.
+globals().update(MsgType.__members__)
+
+
 #: Message types that carry a full cache line of payload.
 DATA_BEARING = frozenset(
     {MsgType.DATA_REPLY, MsgType.OWNER_DATA, MsgType.WRITEBACK}
@@ -59,13 +67,17 @@ RELIABILITY_COUNTERS = (
 
 
 class MessageStats:
-    """Global traffic counters, by message type."""
+    """Global traffic counters, by message type.
+
+    ``count`` and ``bytes`` are flat lists indexed by the ``MsgType``
+    int, so the fabric bumps them inline on every send.
+    """
 
     __slots__ = ("count", "bytes", "total_hops") + RELIABILITY_COUNTERS
 
     def __init__(self) -> None:
-        self.count: Counter = Counter()
-        self.bytes: Counter = Counter()
+        self.count: List[int] = [0] * len(MsgType)
+        self.bytes: List[int] = [0] * len(MsgType)
         self.total_hops: int = 0
         self.retransmits: int = 0
         self.dup_drops: int = 0
@@ -78,25 +90,41 @@ class MessageStats:
         self.bytes[mtype] += size
         self.total_hops += hops
 
+    def merge(self, other: "MessageStats") -> None:
+        """Add ``other``'s counters into these, in place."""
+        for k, c in enumerate(other.count):
+            self.count[k] += c
+            self.bytes[k] += other.bytes[k]
+        self.total_hops += other.total_hops
+        for name in RELIABILITY_COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
     @property
     def total_messages(self) -> int:
-        return sum(self.count.values())
+        return sum(self.count)
 
     @property
     def total_bytes(self) -> int:
-        return sum(self.bytes.values())
+        return sum(self.bytes)
+
+    def _sent(self):
+        """``(name, count, bytes)`` of every type sent at least once."""
+        return [
+            (MsgType(k).name, c, self.bytes[k])
+            for k, c in enumerate(self.count)
+            if c
+        ]
 
     def as_dict(self) -> dict:
-        return {
-            MsgType(k).name: (self.count[k], self.bytes[k]) for k in self.count
-        }
+        return {name: (c, b) for name, c, b in self._sent()}
 
     # -- serialization (result store) -----------------------------------------
 
     def to_dict(self) -> dict:
+        sent = self._sent()
         return {
-            "count": {MsgType(k).name: v for k, v in self.count.items()},
-            "bytes": {MsgType(k).name: v for k, v in self.bytes.items()},
+            "count": {name: c for name, c, _b in sent},
+            "bytes": {name: b for name, _c, b in sent},
             "total_hops": self.total_hops,
             "reliability": {
                 name: getattr(self, name) for name in RELIABILITY_COUNTERS
@@ -106,8 +134,10 @@ class MessageStats:
     @classmethod
     def from_dict(cls, d: dict) -> "MessageStats":
         s = cls()
-        s.count = Counter({MsgType[k]: v for k, v in d["count"].items()})
-        s.bytes = Counter({MsgType[k]: v for k, v in d["bytes"].items()})
+        for k, v in d["count"].items():
+            s.count[MsgType[k]] = v
+        for k, v in d["bytes"].items():
+            s.bytes[MsgType[k]] = v
         s.total_hops = d["total_hops"]
         # Absent in results stored before the fault subsystem existed.
         rel = d.get("reliability") or {}

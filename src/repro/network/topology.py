@@ -2,13 +2,12 @@
 
 Only hop *counts* matter for timing (the paper models contention at the
 endpoints of a message, not at intermediate switches), but the full
-dimension-order route is exposed for tests and for the optional
-per-switch traffic census used by the network-utilization report.
+dimension-order route is exposed for tests.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 from repro.config import SystemConfig
 
@@ -22,16 +21,6 @@ class Mesh:
         self.n = config.n_procs
         if self.width * self.height != self.n:
             raise ValueError("mesh dimensions do not cover all nodes")
-        # Precompute the full hop-count matrix once; it is read on every
-        # message send, so a flat list lookup beats recomputing Manhattan
-        # distance (guide: hoist work out of hot loops).
-        w = self.width
-        self._hops: List[int] = [0] * (self.n * self.n)
-        for s in range(self.n):
-            sx, sy = s % w, s // w
-            base = s * self.n
-            for d in range(self.n):
-                self._hops[base + d] = abs(sx - d % w) + abs(sy - d // w)
 
     def coords(self, node: int) -> Tuple[int, int]:
         return node % self.width, node // self.width
@@ -40,7 +29,7 @@ class Mesh:
         return y * self.width + x
 
     def hops(self, src: int, dst: int) -> int:
-        return self._hops[src * self.n + dst]
+        return self.config.hops(src, dst)
 
     def route(self, src: int, dst: int) -> Iterator[int]:
         """Dimension-order (X then Y) route, yielding intermediate nodes.
@@ -58,8 +47,15 @@ class Mesh:
             yield self.node_at(x, y)
 
     def average_distance(self) -> float:
-        """Mean hop count over all ordered pairs of distinct nodes."""
+        """Mean hop count over all ordered pairs of distinct nodes.
+
+        Manhattan distance splits by axis: the ordered pairs of a ``k``-node
+        line are ``(k - 1) k (k + 1) / 3`` hops apart in total, and every
+        x-pair recurs in each of ``h * h`` row pairs (likewise for y).
+        """
         if self.n == 1:
             return 0.0
-        total = sum(self._hops)
-        return total / (self.n * (self.n - 1))
+        w, h = self.width, self.height
+        x_total = h * h * (w - 1) * w * (w + 1) // 3
+        y_total = w * w * (h - 1) * h * (h + 1) // 3
+        return (x_total + y_total) / (self.n * (self.n - 1))

@@ -23,7 +23,16 @@ from collections import deque
 from typing import Callable, List, Optional
 
 from repro.cache.state import INVALID, RO, RW
-from repro.network.messages import MsgType
+from repro.network.messages import (
+    BARRIER_ARRIVE,
+    BARRIER_EXIT,
+    FLAG_GRANT,
+    FLAG_SET,
+    FLAG_WAIT,
+    LOCK_GRANT,
+    LOCK_RELEASE,
+    LOCK_REQ,
+)
 
 
 class Protocol:
@@ -43,6 +52,8 @@ class Protocol:
         self.home_of = machine.home_of       # block -> home node id
         self.nodes = machine.nodes
         self._n = machine.config.n_procs
+        # Bus time of a line fill, paid on every miss reply.
+        self._line_bus_time = self.cfg.bus_time(self.cfg.line_size)
 
     # -- construction hooks -------------------------------------------------------
 
@@ -136,7 +147,7 @@ class Protocol:
         self.fabric.send(
             node.id,
             self.lock_home(lock_id),
-            MsgType.LOCK_REQ,
+            LOCK_REQ,
             t,
             self._h_lock_req,
             lock_id,
@@ -153,7 +164,7 @@ class Protocol:
         if not st["held"]:
             st["held"] = True
             self.fabric.send(
-                home.id, requester, MsgType.LOCK_GRANT, tp, self._h_lock_grant,
+                home.id, requester, LOCK_GRANT, tp, self._h_lock_grant,
                 requester, st["ts"],
             )
         else:
@@ -174,7 +185,7 @@ class Protocol:
             self.fabric.send(
                 node.id,
                 self.lock_home(lock_id),
-                MsgType.LOCK_RELEASE,
+                LOCK_RELEASE,
                 t2,
                 self._h_lock_release,
                 lock_id,
@@ -193,7 +204,7 @@ class Protocol:
         if st["queue"]:
             nxt = st["queue"].popleft()
             self.fabric.send(
-                home.id, nxt, MsgType.LOCK_GRANT, tp, self._h_lock_grant,
+                home.id, nxt, LOCK_GRANT, tp, self._h_lock_grant,
                 nxt, st.get("ts", 0),
             )
         else:
@@ -208,7 +219,7 @@ class Protocol:
             self.fabric.send(
                 node.id,
                 self.lock_home(barrier_id),
-                MsgType.BARRIER_ARRIVE,
+                BARRIER_ARRIVE,
                 t2,
                 self._h_barrier_arrive,
                 barrier_id,
@@ -235,7 +246,7 @@ class Protocol:
             for w in st["waiters"]:
                 tg = home.pp.reserve(tp, self.cfg.lock_mgr_cost)
                 self.fabric.send(
-                    home.id, w, MsgType.BARRIER_EXIT, tg, self._h_barrier_exit,
+                    home.id, w, BARRIER_EXIT, tg, self._h_barrier_exit,
                     w, st.get("ts", 0),
                 )
             st["waiters"].clear()
@@ -258,7 +269,7 @@ class Protocol:
             self.fabric.send(
                 node.id,
                 self.lock_home(flag_id),
-                MsgType.FLAG_SET,
+                FLAG_SET,
                 t2,
                 self._h_flag_set,
                 flag_id,
@@ -280,7 +291,7 @@ class Protocol:
         for w in st["waiters"]:
             tp = home.pp.reserve(tp, self.cfg.lock_mgr_cost)
             self.fabric.send(
-                home.id, w, MsgType.FLAG_GRANT, tp, self._h_flag_granted,
+                home.id, w, FLAG_GRANT, tp, self._h_flag_granted,
                 w, st.get("ts", 0),
             )
         st["waiters"].clear()
@@ -291,7 +302,7 @@ class Protocol:
         self.fabric.send(
             node.id,
             self.lock_home(flag_id),
-            MsgType.FLAG_WAIT,
+            FLAG_WAIT,
             t,
             self._h_flag_wait,
             flag_id,
@@ -306,7 +317,7 @@ class Protocol:
         )
         if st["set"]:
             self.fabric.send(
-                home.id, requester, MsgType.FLAG_GRANT, tp, self._h_flag_granted,
+                home.id, requester, FLAG_GRANT, tp, self._h_flag_granted,
                 requester, st.get("ts", 0),
             )
         else:

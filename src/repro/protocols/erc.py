@@ -25,7 +25,7 @@ from __future__ import annotations
 from repro.cache.state import INVALID, RO, RW
 from repro.cache.write_buffer import WriteBuffer
 from repro.directory.msi import MSIDirectory
-from repro.network.messages import MsgType
+from repro.network.messages import READ_REQ, WRITE_REQ
 from repro.protocols.base import Protocol
 from repro.protocols.msi_home import MSIHomeMixin
 
@@ -51,7 +51,7 @@ class ERCProtocol(MSIHomeMixin, Protocol):
         self.fabric.send(
             node.id,
             self.home_of(block),
-            MsgType.READ_REQ,
+            READ_REQ,
             t,
             self._h_read_req,
             block,
@@ -102,7 +102,7 @@ class ERCProtocol(MSIHomeMixin, Protocol):
             self.fabric.send(
                 node.id,
                 self.home_of(block),
-                MsgType.WRITE_REQ,
+                WRITE_REQ,
                 t,
                 self._h_write_req,
                 block,

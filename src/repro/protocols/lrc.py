@@ -32,7 +32,16 @@ from repro.cache.coalescing_buffer import CoalescingBuffer
 from repro.cache.state import INVALID, RO, RW
 from repro.cache.write_buffer import WriteBuffer
 from repro.directory.lazy import LazyDirectory
-from repro.network.messages import MsgType
+from repro.network.messages import (
+    ACK,
+    DATA_REPLY,
+    EVICT_NOTICE,
+    READ_REQ,
+    RELINQUISH,
+    WRITE_NOTICE,
+    WRITE_REQ,
+    WRITE_THROUGH,
+)
 from repro.protocols.base import Protocol
 
 
@@ -68,7 +77,7 @@ class LRCProtocol(Protocol):
         self.fabric.send(
             node.id,
             self.home_of(block),
-            MsgType.READ_REQ,
+            READ_REQ,
             t,
             self._h_read_req,
             block,
@@ -122,7 +131,7 @@ class LRCProtocol(Protocol):
         self.fabric.send(
             node.id,
             self.home_of(block),
-            MsgType.WRITE_REQ,
+            WRITE_REQ,
             t,
             self._h_write_req,
             block,
@@ -135,7 +144,7 @@ class LRCProtocol(Protocol):
         self.fabric.send(
             node.id,
             self.home_of(block),
-            MsgType.WRITE_REQ,
+            WRITE_REQ,
             t,
             self._h_write_req,
             block,
@@ -187,7 +196,7 @@ class LRCProtocol(Protocol):
         self.fabric.send(
             node.id,
             self.home_of(block),
-            MsgType.WRITE_THROUGH,
+            WRITE_THROUGH,
             t,
             self._h_write_through,
             block,
@@ -207,7 +216,7 @@ class LRCProtocol(Protocol):
             vm.apply_home(block, data)
         tm = home.mem.write(t, size)
         self.fabric.send(
-            home.id, src, MsgType.ACK, tm, self._h_wt_ack, src, background, block
+            home.id, src, ACK, tm, self._h_wt_ack, src, background, block
         )
 
     def _h_wt_ack(self, t: int, src: int, background: bool, block: int) -> None:
@@ -273,7 +282,7 @@ class LRCProtocol(Protocol):
                 self.fabric.send(
                     node.id,
                     self.home_of(block),
-                    MsgType.RELINQUISH,
+                    RELINQUISH,
                     t,
                     self._h_relinquish,
                     block,
@@ -308,7 +317,7 @@ class LRCProtocol(Protocol):
             self.fabric.send(
                 home.id,
                 w,
-                MsgType.WRITE_NOTICE,
+                WRITE_NOTICE,
                 td,
                 self._h_notice_info,
                 block,
@@ -318,7 +327,7 @@ class LRCProtocol(Protocol):
         self.fabric.send(
             home.id,
             requester,
-            MsgType.DATA_REPLY,
+            DATA_REPLY,
             treply,
             self._h_read_fill,
             block,
@@ -331,7 +340,7 @@ class LRCProtocol(Protocol):
         self, t: int, block: int, requester: int, weak: bool, data=None
     ) -> None:
         node = self.nodes[requester]
-        t_fill = node.bus.reserve(t, self.cfg.bus_time(self.cfg.line_size))
+        t_fill = node.bus.reserve(t, self._line_bus_time)
         self._install_line(node, t_fill, block, RO)
         if weak:
             node.pending_inval.add(block)
@@ -356,7 +365,7 @@ class LRCProtocol(Protocol):
             self.fabric.send(
                 home.id,
                 requester,
-                MsgType.DATA_REPLY,
+                DATA_REPLY,
                 tp if tp > tm else tm,
                 self._h_write_fill,
                 block,
@@ -370,7 +379,7 @@ class LRCProtocol(Protocol):
             td = home.pp.reserve(td, self.cfg.notice_cost)
             self.stats.notices_sent += 1
             self.fabric.send(
-                home.id, s, MsgType.WRITE_NOTICE, td, self._h_notice, block, s, True
+                home.id, s, WRITE_NOTICE, td, self._h_notice, block, s, True
             )
         if awaiting:
             # Join the (possibly already open) ack collection; the home
@@ -383,7 +392,7 @@ class LRCProtocol(Protocol):
             self.fabric.send(
                 home.id,
                 requester,
-                MsgType.ACK,
+                ACK,
                 tp,
                 self._h_final_ack_blk,
                 requester,
@@ -396,7 +405,7 @@ class LRCProtocol(Protocol):
     ) -> None:
         """Data for a write miss: install RW and retire buffered words."""
         node = self.nodes[requester]
-        t_fill = node.bus.reserve(t, self.cfg.bus_time(self.cfg.line_size))
+        t_fill = node.bus.reserve(t, self._line_bus_time)
         self._install_line(node, t_fill, block, RW)
         vm = self.machine.valmodel
         if vm is not None:
@@ -441,7 +450,7 @@ class LRCProtocol(Protocol):
         if needs_ack:
             home_id = self.home_of(block)
             self.fabric.send(
-                tnode.id, home_id, MsgType.ACK, tp, self._h_notice_ack, block
+                tnode.id, home_id, ACK, tp, self._h_notice_ack, block
             )
 
     def _h_notice_info(self, t: int, block: int, target: int) -> None:
@@ -459,7 +468,7 @@ class LRCProtocol(Protocol):
                 self.fabric.send(
                     home.id,
                     req,
-                    MsgType.ACK,
+                    ACK,
                     tp,
                     self._h_final_ack_blk,
                     req,
@@ -490,7 +499,7 @@ class LRCProtocol(Protocol):
         self.fabric.send(
             node.id,
             self.home_of(vblock),
-            MsgType.EVICT_NOTICE,
+            EVICT_NOTICE,
             t,
             self._h_relinquish,
             vblock,

@@ -29,7 +29,7 @@ continuously, so home memory stays current; only the *notices* are lazy.
 from __future__ import annotations
 
 from repro.cache.state import INVALID, RO, RW
-from repro.network.messages import MsgType
+from repro.network.messages import DATA_REPLY, READ_REQ, WRITE_NOTICE
 from repro.protocols.lrc import LRCProtocol
 
 
@@ -70,7 +70,7 @@ class LRCExtProtocol(LRCProtocol):
         self.fabric.send(
             node.id,
             self.home_of(block),
-            MsgType.READ_REQ,
+            READ_REQ,
             t,
             self._h_write_fetch_req,
             block,
@@ -88,13 +88,13 @@ class LRCExtProtocol(LRCProtocol):
             td = home.pp.reserve(td, self.cfg.notice_cost)
             self.stats.notices_sent += 1
             self.fabric.send(
-                home.id, w, MsgType.WRITE_NOTICE, td, self._h_notice_info, block, w
+                home.id, w, WRITE_NOTICE, td, self._h_notice_info, block, w
             )
         vm = self.machine.valmodel
         self.fabric.send(
             home.id,
             requester,
-            MsgType.DATA_REPLY,
+            DATA_REPLY,
             treply,
             self._h_write_fetch_fill,
             block,
@@ -107,7 +107,7 @@ class LRCExtProtocol(LRCProtocol):
         self, t: int, block: int, requester: int, weak: bool, data=None
     ) -> None:
         node = self.nodes[requester]
-        t_fill = node.bus.reserve(t, self.cfg.bus_time(self.cfg.line_size))
+        t_fill = node.bus.reserve(t, self._line_bus_time)
         self._install_line(node, t_fill, block, RW)
         vm = self.machine.valmodel
         if vm is not None:

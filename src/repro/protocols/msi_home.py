@@ -32,7 +32,15 @@ from collections import deque
 
 from repro.cache.state import INVALID, RO, RW
 from repro.directory.entry import DIRTY
-from repro.network.messages import MsgType
+from repro.network.messages import (
+    ACK,
+    DATA_REPLY,
+    EVICT_NOTICE,
+    FORWARD,
+    INVALIDATE,
+    OWNER_DATA,
+    WRITEBACK,
+)
 
 
 class MSIHomeMixin:
@@ -212,7 +220,7 @@ class MSIHomeMixin:
             self.fabric.send(
                 home.id,
                 out.forward_to,
-                MsgType.FORWARD,
+                FORWARD,
                 tp,
                 self._h_forward_read,
                 block,
@@ -228,7 +236,7 @@ class MSIHomeMixin:
             self.fabric.send(
                 home.id,
                 requester,
-                MsgType.DATA_REPLY,
+                DATA_REPLY,
                 tp if tp > tm else tm,
                 self._h_read_data,
                 block,
@@ -244,7 +252,7 @@ class MSIHomeMixin:
         # Reading the line out of the owner's cache occupies its local bus
         # for a full line transfer (this is why dirty-remote reads cost
         # more than clean ones on DASH-class machines).
-        tp = onode.bus.reserve(tp, self.cfg.bus_time(self.cfg.line_size))
+        tp = onode.bus.reserve(tp, self._line_bus_time)
         # The owner keeps a read-only copy (MSI sharing transition).  If
         # the line raced away via an eviction whose hint is still in
         # flight, the owner still plays its protocol role — only state,
@@ -265,12 +273,12 @@ class MSIHomeMixin:
         data = vm.owner_line(owner, block) if vm is not None else None
         self._reply_begin(requester, block)
         self.fabric.send(
-            onode.id, requester, MsgType.OWNER_DATA, tp, self._h_read_data,
+            onode.id, requester, OWNER_DATA, tp, self._h_read_data,
             block, requester, data,
         )
         home = self.nodes[self.home_of(block)]
         self.fabric.send(
-            onode.id, home.id, MsgType.WRITEBACK, tp, self._h_sharing_wb, block, data
+            onode.id, home.id, WRITEBACK, tp, self._h_sharing_wb, block, data
         )
 
     def _h_sharing_wb(self, t: int, block: int, data=None) -> None:
@@ -290,7 +298,7 @@ class MSIHomeMixin:
         # node has landed (the home holds/queues the re-request), so the
         # in-flight mark is spent by now.
         node.wb_inflight.discard(block)
-        t_fill = node.bus.reserve(t, self.cfg.bus_time(self.cfg.line_size))
+        t_fill = node.bus.reserve(t, self._line_bus_time)
         self._install_line(node, t_fill, block, RO)
         vm = self.machine.valmodel
         if vm is not None:
@@ -322,7 +330,7 @@ class MSIHomeMixin:
             self.fabric.send(
                 home.id,
                 out.forward_to,
-                MsgType.FORWARD,
+                FORWARD,
                 tp,
                 self._h_forward_write,
                 block,
@@ -344,7 +352,7 @@ class MSIHomeMixin:
             for s in out.invalidate:
                 td = home.pp.reserve(td, self.cfg.notice_cost)
                 self.fabric.send(
-                    home.id, s, MsgType.INVALIDATE, td, self._h_inval, block, s
+                    home.id, s, INVALIDATE, td, self._h_inval, block, s
                 )
         else:
             self._send_write_grant(home, t, tp, block, requester, out.needs_data)
@@ -359,7 +367,7 @@ class MSIHomeMixin:
             self.fabric.send(
                 home.id,
                 requester,
-                MsgType.DATA_REPLY,
+                DATA_REPLY,
                 tp if tp > tm else tm,
                 self._h_write_grant_msg,
                 block,
@@ -371,7 +379,7 @@ class MSIHomeMixin:
             self.fabric.send(
                 home.id,
                 requester,
-                MsgType.ACK,
+                ACK,
                 tp,
                 self._h_write_grant_msg,
                 block,
@@ -385,7 +393,7 @@ class MSIHomeMixin:
         if self._defer_forward(onode, block, "write", owner, requester):
             return
         tp = onode.pp.reserve(t, self.cfg.notice_cost)
-        tp = onode.bus.reserve(tp, self.cfg.bus_time(self.cfg.line_size))
+        tp = onode.bus.reserve(tp, self._line_bus_time)
         if onode.cache.invalidate(block):
             self.stats.eager_invalidations += 1
             if self.machine.classifier is not None:
@@ -399,7 +407,7 @@ class MSIHomeMixin:
         self.fabric.send(
             onode.id,
             requester,
-            MsgType.OWNER_DATA,
+            OWNER_DATA,
             tp,
             self._h_write_grant_msg,
             block,
@@ -409,7 +417,7 @@ class MSIHomeMixin:
         )
         home = self.nodes[self.home_of(block)]
         self.fabric.send(
-            onode.id, home.id, MsgType.ACK, tp, self._h_ownership_transferred, block
+            onode.id, home.id, ACK, tp, self._h_ownership_transferred, block
         )
 
     def _h_ownership_transferred(self, t: int, block: int) -> None:
@@ -427,7 +435,7 @@ class MSIHomeMixin:
             self._note_fill_fixup(tnode, block, INVALID, hits_grants=False)
         home = self.nodes[self.home_of(block)]
         self.fabric.send(
-            tnode.id, home.id, MsgType.ACK, tp, self._h_inval_ack, block
+            tnode.id, home.id, ACK, tp, self._h_inval_ack, block
         )
 
     def _h_inval_ack(self, t: int, block: int) -> None:
@@ -449,7 +457,7 @@ class MSIHomeMixin:
         self._reply_end(node, block)
         node.wb_inflight.discard(block)  # any prior writeback has landed
         if with_data:
-            t = node.bus.reserve(t, self.cfg.bus_time(self.cfg.line_size))
+            t = node.bus.reserve(t, self._line_bus_time)
             self._install_line(node, t, block, RW)
             vm = self.machine.valmodel
             if vm is not None:
@@ -487,14 +495,14 @@ class MSIHomeMixin:
             node.wb_inflight.add(vblock)
             vm = self.machine.valmodel
             self.fabric.send(
-                node.id, home_id, MsgType.WRITEBACK, t, self._h_evict_wb, vblock,
+                node.id, home_id, WRITEBACK, t, self._h_evict_wb, vblock,
                 node.id, vm.owner_line(node.id, vblock) if vm is not None else None,
             )
         else:
             self.fabric.send(
                 node.id,
                 home_id,
-                MsgType.EVICT_NOTICE,
+                EVICT_NOTICE,
                 t,
                 self._h_evict_hint,
                 vblock,

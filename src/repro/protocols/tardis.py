@@ -54,7 +54,13 @@ from typing import Set
 
 from repro.cache.state import RO, RW
 from repro.directory.timestamp import TardisDirectory
-from repro.network.messages import MsgType
+from repro.network.messages import (
+    ACK,
+    DATA_REPLY,
+    READ_REQ,
+    TS_BUMP,
+    WRITE_REQ,
+)
 from repro.protocols.lrc import LRCProtocol
 
 
@@ -79,7 +85,7 @@ class TardisProtocol(LRCProtocol):
         self.fabric.send(
             node.id,
             self.home_of(block),
-            MsgType.READ_REQ,
+            READ_REQ,
             t,
             self._h_fetch_req,
             block,
@@ -122,7 +128,7 @@ class TardisProtocol(LRCProtocol):
         self.fabric.send(
             node.id,
             self.home_of(block),
-            MsgType.WRITE_REQ,
+            WRITE_REQ,
             t,
             self._h_fetch_req,
             block,
@@ -177,7 +183,7 @@ class TardisProtocol(LRCProtocol):
         self.fabric.send(
             node.id,
             self.home_of(block),
-            MsgType.TS_BUMP,
+            TS_BUMP,
             t,
             self._h_ts_bump,
             block,
@@ -196,7 +202,7 @@ class TardisProtocol(LRCProtocol):
         wts = home.directory.bump(block)
         self.stats.ts_bumps += 1
         self.fabric.send(
-            home.id, src, MsgType.ACK, tp, self._h_bump_ack, src, wts
+            home.id, src, ACK, tp, self._h_bump_ack, src, wts
         )
 
     def _h_bump_ack(self, t: int, src: int, wts: int) -> None:
@@ -252,7 +258,7 @@ class TardisProtocol(LRCProtocol):
         self.fabric.send(
             home.id,
             requester,
-            MsgType.DATA_REPLY,
+            DATA_REPLY,
             tp if tp > tm else tm,
             self._h_fetch_fill,
             block,
@@ -268,7 +274,7 @@ class TardisProtocol(LRCProtocol):
         rw: bool, data=None,
     ) -> None:
         node = self.nodes[requester]
-        t_fill = node.bus.reserve(t, self.cfg.bus_time(self.cfg.line_size))
+        t_fill = node.bus.reserve(t, self._line_bus_time)
         self._install_line(node, t_fill, block, RW if rw else RO)
         # Read at-or-after the last published write; the lease is at
         # least as large, so a fresh fill never expires immediately.

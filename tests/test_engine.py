@@ -62,11 +62,6 @@ class TestResource:
         r.reserve(0, 5)
         assert r.reserve(100, 5) == 105
 
-    def test_enqueue_returns_start(self):
-        r = Resource()
-        assert r.enqueue(0, 10) == 0
-        assert r.enqueue(0, 10) == 10  # starts when the first ends
-
     def test_zero_duration(self):
         r = Resource()
         assert r.reserve(5, 0) == 5
