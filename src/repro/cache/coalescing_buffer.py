@@ -21,8 +21,7 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 class CoalescingBuffer:
     """Fully-associative, FIFO-replacement coalescing buffer."""
 
-    __slots__ = ("capacity", "order", "words", "merges", "inserted", "flushes",
-                 "tracer", "owner")
+    __slots__ = ("capacity", "order", "words", "tracer", "owner")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -30,9 +29,6 @@ class CoalescingBuffer:
         self.capacity = capacity
         self.order: Deque[int] = deque()
         self.words: Dict[int, Set[int]] = {}
-        self.merges = 0
-        self.inserted = 0
-        self.flushes = 0
         self.tracer = None   # set by Machine when event tracing is on
         self.owner = -1      # owning node id (tracing only)
 
@@ -56,16 +52,13 @@ class CoalescingBuffer:
         ws = self.words.get(block)
         if ws is not None:
             ws |= words
-            self.merges += 1
             return None
         victim = None
         if len(self.order) >= self.capacity:
             vb = self.order.popleft()
             victim = (vb, self.words.pop(vb))
-            self.flushes += 1
         self.words[block] = set(words)
         self.order.append(block)
-        self.inserted += 1
         if self.tracer is not None:
             self.tracer.emit(
                 "cbuf_add", self.owner, block=block,
@@ -78,7 +71,6 @@ class CoalescingBuffer:
         ws = self.words.pop(block, None)
         if ws is not None:
             self.order.remove(block)
-            self.flushes += 1
             if self.tracer is not None:
                 self.tracer.emit("cbuf_remove", self.owner, block=block)
         return ws
@@ -86,7 +78,6 @@ class CoalescingBuffer:
     def drain(self) -> List[Tuple[int, Set[int]]]:
         """Remove and return all entries in FIFO order (release flush)."""
         out = [(b, self.words[b]) for b in self.order]
-        self.flushes += len(out)
         self.order.clear()
         self.words.clear()
         if self.tracer is not None and out:

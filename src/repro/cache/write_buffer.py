@@ -20,7 +20,7 @@ from typing import Deque, Dict, Optional, Set
 class WriteBuffer:
     """FIFO, line-coalescing write buffer."""
 
-    __slots__ = ("capacity", "order", "words", "coalesced", "inserted", "tracer", "owner")
+    __slots__ = ("capacity", "order", "words", "tracer", "owner")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -28,8 +28,6 @@ class WriteBuffer:
         self.capacity = capacity
         self.order: Deque[int] = deque()      # FIFO of blocks
         self.words: Dict[int, Set[int]] = {}  # block -> word offsets
-        self.coalesced = 0
-        self.inserted = 0
         self.tracer = None   # set by Machine when event tracing is on
         self.owner = -1      # owning node id (tracing only)
 
@@ -58,7 +56,6 @@ class WriteBuffer:
         ws = self.words.get(block)
         if ws is not None:
             ws.add(word)
-            self.coalesced += 1
             return True
         if len(self.order) >= self.capacity:
             if self.tracer is not None:
@@ -66,7 +63,6 @@ class WriteBuffer:
             return False
         self.words[block] = {word}
         self.order.append(block)
-        self.inserted += 1
         if self.tracer is not None:
             self.tracer.emit("wb_add", self.owner, block=block, depth=len(self.order))
         return True

@@ -13,23 +13,35 @@ flat Python lists in which
 
 The :class:`ReplayProcessor` drives a machine from a micro-program with
 a slot-based cursor (plain integer index into the list; no generator
-frames, no per-op allocation).  Its fast path retires a whole span with
-a handful of Python operations — one tag compare, one bulk stats/time
-update, one ``set.update`` for coalescing-buffer words — instead of the
-per-reference loop, which is where the engine's order-of-magnitude
-speedup on run-op-dense apps comes from.
+frames).  It retires a span's tail ``[j, count)`` as one batch — one tag
+check, one bulk stats/time update, one ``set.update`` of buffer words —
+whenever the tail provably needs no protocol work:
 
-Bit-identity contract: every batched span is *provably* equivalent to
-the per-element legacy loop, because no simulator event can run between
-the elements of a span (the CPU loop is synchronous within a quantum)
-and the batch formulas reproduce the legacy per-element time/stat
-arithmetic exactly, including quantum-deadline splits.  Any condition
-the fast path does not cover — a miss, a cold coalescing-buffer entry, a
-write-buffer stall, an attached miss classifier or value model — is
-*demoted*: the span re-enters the dispatch loop as a legacy run-op tuple
-and takes the exact code path the generator engine takes.  The
-differential suite (``tests/test_replay.py``) and the golden fixtures
-hold the two engines to bit-identical :class:`RunResult`\\ s.
+* **line present** — reads hit (state RO or RW, or a live write-buffer
+  entry to forward from); writes hit (state RW, and the block's
+  coalescing-buffer entry is live or the protocol has none);
+* **write-buffer coalescing** — the block has a live write-buffer entry
+  and its state is in the protocol's ``wb_coalesce_states`` (erc:
+  INVALID and RO; lrc, lrc-ext, tardis: INVALID).  Such a write only
+  adds its word to the entry: 1 cycle, no message, no stall.
+
+Spans are *resumable*: an element that does need the protocol (a read
+miss, an RO upgrade, a cold coalescing-buffer entry, a full write
+buffer) runs alone through the per-element step — the exact code path
+of the generator engine — and the rest of the span re-qualifies for the
+batch.  A miss or stall parks the span as a continuation that resumes at
+the same element.  Only a value model, which must see every element,
+runs spans wholly per-element; a miss classifier takes batched writes as
+``record_write_span`` records.
+
+Bit-identity contract: no simulator event can run between the elements
+of a span (the CPU loop is synchronous within a quantum), and neither
+batchable case changes cache, buffer or protocol state beyond the words
+it adds, so the preconditions checked at the head of a tail hold for all
+of it.  The batch formulas reproduce the per-element time/stat
+arithmetic exactly, including quantum-deadline splits.  The differential
+suite (``tests/test_replay.py``) and the golden fixtures hold the two
+engines to bit-identical :class:`RunResult`\\ s.
 """
 
 from __future__ import annotations
@@ -45,7 +57,6 @@ from repro.program.ops import (
     READ,
     READ_RUN,
     RELEASE,
-    RW_RESUME,
     RW_RUN,
     SET_FLAG,
     WAIT_FLAG,
@@ -57,8 +68,17 @@ from repro.program.ops import (
 READ_SPAN = 32
 WRITE_SPAN = 33
 RW_SPAN = 34
+#: A span parked mid-way: ``(SPAN_CONT, block, base, count, stride, words,
+#: j, kind, mode)`` resumes span ``kind`` at element ``j`` in ``mode``.
+SPAN_CONT = 35
+
+#: How a span's next element runs: ``BATCH`` lets the tail batch,
+#: ``ELEMENT`` runs element ``j`` alone, ``WRITE_ONLY`` runs only element
+#: ``j``'s write (an RW element whose read missed and has been served).
+BATCH, ELEMENT, WRITE_ONLY = 0, 1, 2
 
 _RUN_KINDS = (READ_RUN, WRITE_RUN, RW_RUN)
+
 
 def compile_stream(stream) -> List[list]:
     """Per-proc micro-programs for ``stream``, compiled once and cached.
@@ -120,10 +140,9 @@ class ReplayProcessor(Processor):
     """Drives one node from a compiled micro-program.
 
     The cursor is a plain index (``_i``) into the micro-program list —
-    slot-based and allocation-free; blocking continuations reuse the
-    legacy pending-tuple forms, so the protocol-facing surface
-    (:meth:`block`, :meth:`unblock`, :meth:`complete_pending_write`) is
-    byte-for-byte the legacy one.
+    slot-based and allocation-free.  Scalar ops block with their legacy
+    pending-tuple forms; a blocked or split span parks as a
+    :data:`SPAN_CONT` continuation.
     """
 
     __slots__ = ("_mops", "_i", "_n")
@@ -146,11 +165,23 @@ class ReplayProcessor(Processor):
             "ReplayProcessor consumes micro-programs; use set_micro_program()"
         )
 
-    # The dispatch loop mirrors Processor.run_quantum exactly, with two
-    # changes: ops come from the micro-program cursor instead of a
-    # generator, and the three span opcodes get batched fast paths that
-    # demote to the legacy run-op branches whenever anything interesting
-    # (miss, stall, observer) happens.
+    def complete_pending_write(self) -> None:
+        op = self._pending
+        if op[0] != SPAN_CONT:
+            return super().complete_pending_write()
+        _, block, base, count, stride, words, j, kind, _mode = op
+        self._pending = (
+            (SPAN_CONT, block, base, count, stride, words, j + 1, kind, BATCH)
+            if j + 1 < count else None
+        )
+        self.stats.writes += 1
+        vm = self.machine.valmodel
+        if vm is not None:
+            vm.write(self.id, block, words[j])
+
+    # The dispatch loop mirrors Processor.run_quantum, with two changes:
+    # ops come from the micro-program cursor instead of a generator, and
+    # run ops arrive as block spans whose tails retire in batches.
     def run_quantum(self) -> None:
         sim = self.sim
         t = sim.now
@@ -166,391 +197,270 @@ class ReplayProcessor(Processor):
         prot = self.protocol
         wb = node.wb
         wb_words = wb.words if wb is not None else None
+        wt = self._wt_words
+        coalesce = prot.wb_coalesce_states
         obs = self.machine.classifier
         vm = self.machine.valmodel
         my_id = self.id
         mops = self._mops
         i = self._i
         n = self._n
-        # Spans stay batched with a classifier attached: the classifier's
-        # logged mode takes whole spans as single compact records
-        # (record_write_span) stamped with the per-element retire times
-        # the legacy loop would have used.  Only a value model still
-        # demotes spans to the per-element branches.
-        plain = vm is None
+        # A value model must see every element, so it runs spans
+        # per-element; a classifier takes batched writes as span records.
+        fresh = BATCH if vm is None else ELEMENT
 
         pend = self._pending
         self._pending = None
 
-        while True:
-            if pend is not None:
-                op = pend
-                pend = None
-            elif i < n:
-                op = mops[i]
-                i += 1
-                self._i = i
-            else:
-                self._finish(t)
-                return
-            kind = op[0]
-
-            # -- span fast paths ------------------------------------------------
-            if kind == READ_SPAN:
-                _, block, base, count, stride = op
-                s = block & mask
-                if vm is None and (
-                    (tags[s] == block and states[s])
-                    or (wb_words is not None and block in wb_words)
-                ):
-                    left = deadline - t
-                    if count <= left:
-                        stats.reads += count
-                        t += count
-                    else:
-                        stats.reads += left
-                        t += left
-                        self._pending = (READ_RUN, base, count, stride, left)
-                        sim.at(t, self.run_quantum)
-                        return
+        # Reads and writes count in locals and reach ``stats`` when the
+        # quantum ends; nothing reads the counters while a CPU runs.
+        nr = nw = 0
+        try:
+            while True:
+                if pend is not None:
+                    op = pend
+                    pend = None
+                elif i < n:
+                    op = mops[i]
+                    i += 1
                 else:
-                    pend = (READ_RUN, base, count, stride)
-                    continue
-
-            elif kind == WRITE_SPAN:
-                _, block, base, count, stride, words = op
-                s = block & mask
-                if plain and tags[s] == block and states[s] == 2:
-                    wt = self._wt_words
-                    ws = wt.get(block) if wt is not None else None
-                    if wt is not None and ws is None:
-                        # Cold coalescing-buffer entry: retire the first
-                        # write through the protocol exactly as the legacy
-                        # loop does (cpu_write never stalls in state 2),
-                        # then re-check the preconditions for the tail.
-                        if obs is not None:
-                            obs.record_write(my_id, block, words[0], t)
-                        t = prot.cpu_write(node, t, block, words[0])
-                        stats.writes += 1
-                        if count > 1:
-                            if t >= deadline:
-                                self._pending = (WRITE_RUN, base, count, stride, 1)
-                                sim.at(t, self.run_quantum)
-                                return
-                            ws = wt.get(block)
-                            if ws is None or tags[s] != block or states[s] != 2:
-                                pend = (WRITE_RUN, base, count, stride, 1)
-                                continue
-                            m = count - 1
-                            left = deadline - t
-                            if m <= left:
-                                if obs is not None:
-                                    obs.record_write_span(
-                                        my_id, t, block, words[1:], 1
-                                    )
-                                ws.update(words[1:])
-                                stats.writes += m
-                                t += m
-                            else:
-                                if obs is not None:
-                                    obs.record_write_span(
-                                        my_id, t, block, words[1 : 1 + left], 1
-                                    )
-                                ws.update(words[1 : 1 + left])
-                                stats.writes += left
-                                t += left
-                                self._pending = (
-                                    WRITE_RUN, base, count, stride, 1 + left,
-                                )
-                                sim.at(t, self.run_quantum)
-                                return
-                    elif count <= (left := deadline - t):
-                        if obs is not None:
-                            obs.record_write_span(my_id, t, block, words, 1)
-                        if ws is not None:
-                            ws.update(words)
-                        stats.writes += count
-                        t += count
-                    else:
-                        if obs is not None:
-                            obs.record_write_span(my_id, t, block, words[:left], 1)
-                        if ws is not None:
-                            ws.update(words[:left])
-                        stats.writes += left
-                        t += left
-                        self._pending = (WRITE_RUN, base, count, stride, left)
-                        sim.at(t, self.run_quantum)
-                        return
-                else:
-                    pend = (WRITE_RUN, base, count, stride)
-                    continue
-
-            elif kind == RW_SPAN:
-                _, block, base, count, stride, words = op
-                s = block & mask
-                if plain and tags[s] == block and states[s] == 2:
-                    wt = self._wt_words
-                    ws = wt.get(block) if wt is not None else None
-                    if wt is not None and ws is None:
-                        # Cold coalescing-buffer entry: element 0 is a
-                        # read hit (state 2) plus a protocol write that
-                        # starts the entry, exactly as the legacy loop
-                        # does; then re-check and batch the tail.
-                        stats.reads += 1
-                        t += 1
-                        if obs is not None:
-                            obs.record_write(my_id, block, words[0], t)
-                        t = prot.cpu_write(node, t, block, words[0])
-                        stats.writes += 1
-                        if count > 1:
-                            if t >= deadline:
-                                self._pending = (RW_RUN, base, count, stride, 1)
-                                sim.at(t, self.run_quantum)
-                                return
-                            ws = wt.get(block)
-                            if ws is None or tags[s] != block or states[s] != 2:
-                                pend = (RW_RUN, base, count, stride, 1)
-                                continue
-                            m = count - 1
-                            k = (deadline - t + 1) >> 1
-                            if m <= k:
-                                if obs is not None:
-                                    obs.record_write_span(
-                                        my_id, t + 1, block, words[1:], 2
-                                    )
-                                ws.update(words[1:])
-                                stats.reads += m
-                                stats.writes += m
-                                t += 2 * m
-                            else:
-                                if obs is not None:
-                                    obs.record_write_span(
-                                        my_id, t + 1, block, words[1 : 1 + k], 2
-                                    )
-                                ws.update(words[1 : 1 + k])
-                                stats.reads += k
-                                stats.writes += k
-                                t += 2 * k
-                                self._pending = (RW_RUN, base, count, stride, 1 + k)
-                                sim.at(t, self.run_quantum)
-                                return
-                    elif count <= (k := (deadline - t + 1) >> 1):
-                        if obs is not None:
-                            obs.record_write_span(my_id, t + 1, block, words, 2)
-                        if ws is not None:
-                            ws.update(words)
-                        stats.reads += count
-                        stats.writes += count
-                        t += 2 * count
-                    else:
-                        if obs is not None:
-                            obs.record_write_span(my_id, t + 1, block, words[:k], 2)
-                        if ws is not None:
-                            ws.update(words[:k])
-                        stats.reads += k
-                        stats.writes += k
-                        t += 2 * k
-                        self._pending = (RW_RUN, base, count, stride, k)
-                        sim.at(t, self.run_quantum)
-                        return
-                else:
-                    pend = (RW_RUN, base, count, stride)
-                    continue
-
-            # -- legacy branches (identical to Processor.run_quantum) -----------
-            elif kind == READ:
-                addr = op[1]
-                block = addr >> lsh
-                s = block & mask
-                stats.reads += 1
-                if tags[s] == block and states[s]:
-                    t += 1
-                    if vm is not None:
-                        vm.read_hit(my_id, block, (addr >> 3) & wmask)
-                elif wb_words is not None and block in wb_words:
-                    t += 1  # read bypasses / forwards from the write buffer
-                    if vm is not None:
-                        vm.read_wb(my_id, block, (addr >> 3) & wmask)
-                else:
-                    stats.read_misses += 1
-                    word = (addr >> 3) & wmask
-                    if obs is not None:
-                        obs.classify_miss(my_id, block, word, t)
-                    if vm is not None:
-                        vm.read_miss(my_id, block, word)
-                    self.block(t, B_READ)
-                    prot.cpu_read_miss(node, t, block)
+                    self._finish(t)
                     return
+                kind = op[0]
 
-            elif kind == WRITE:
-                addr = op[1]
-                block = addr >> lsh
-                s = block & mask
-                word = (addr >> 3) & wmask
-                if obs is not None:
-                    obs.record_write(my_id, block, word, t)
-                if tags[s] == block and states[s] == 2:
-                    wt = self._wt_words
-                    if wt is None:
-                        stats.writes += 1
-                        t += 1
+                # -- block spans ------------------------------------------------
+                if kind >= READ_SPAN:
+                    if kind == READ_SPAN:
+                        _, block, base, count, stride = op
+                        words = None
+                        j = 0
+                        mode = fresh
+                    elif kind != SPAN_CONT:
+                        _, block, base, count, stride, words = op
+                        j = 0
+                        mode = fresh
                     else:
-                        ws = wt.get(block)
-                        if ws is not None:
-                            ws.add(word)
-                            stats.writes += 1
-                            t += 1
+                        _, block, base, count, stride, words, j, kind, mode = op
+                        mode = mode or fresh
+                    s = block & mask
+                    while True:
+                        if not mode:
+                            # The one batched-tail block: fresh spans, tails
+                            # after a per-element step, resumed continuations.
+                            if words is None:
+                                batch = (tags[s] == block and states[s]) or (
+                                    wb_words is not None and block in wb_words
+                                )
+                            else:
+                                st = states[s] if tags[s] == block else 0
+                                if st == 2:
+                                    ws = wt.get(block) if wt is not None else None
+                                    batch = wt is None or ws is not None
+                                else:
+                                    ws = wb_words.get(block) if st in coalesce else None
+                                    batch = ws is not None
+                            if batch:
+                                left = deadline - t
+                                m = count - j
+                                if words is None:
+                                    if m > left:
+                                        m = left
+                                    nr += m
+                                    t += m
+                                else:
+                                    rw = kind == RW_SPAN
+                                    if rw:
+                                        left = (left + 1) >> 1
+                                    if m > left:
+                                        m = left
+                                    w = words[j : j + m]
+                                    if obs is not None:
+                                        obs.record_write_span(my_id, t + rw, block, w, 1 + rw)
+                                    if ws is not None:
+                                        ws.update(w)
+                                    nw += m
+                                    if rw:
+                                        nr += m
+                                        t += m
+                                    t += m
+                                j += m
+                                if j < count:
+                                    self._pending = (
+                                        SPAN_CONT, block, base, count, stride, words, j, kind,
+                                        BATCH,
+                                    )
+                                    sim.at(t, self.run_quantum)
+                                    return
+                                break
+                        # Element j alone, exactly as the generator engine runs it.
+                        if words is not None:
+                            word = words[j]
                         else:
-                            t = prot.cpu_write(node, t, block, word)
-                            stats.writes += 1
-                    if vm is not None:
-                        vm.write(my_id, block, word)
-                else:
-                    nt = prot.cpu_write(node, t, block, word)
-                    if nt < 0:
-                        self._pending = op
-                        self.block(t, B_WB)
-                        return
-                    stats.writes += 1
-                    t = nt
-                    if vm is not None:
-                        vm.write(my_id, block, word)
+                            word = ((base + j * stride) >> 3) & wmask
+                        if kind != WRITE_SPAN and mode != WRITE_ONLY:
+                            nr += 1
+                            if tags[s] == block and states[s]:
+                                t += 1
+                                if vm is not None:
+                                    vm.read_hit(my_id, block, word)
+                            elif wb_words is not None and block in wb_words:
+                                t += 1  # read bypasses / forwards from the write buffer
+                                if vm is not None:
+                                    vm.read_wb(my_id, block, word)
+                            else:
+                                stats.read_misses += 1
+                                if obs is not None:
+                                    obs.classify_miss(my_id, block, word, t)
+                                if vm is not None:
+                                    vm.read_miss(my_id, block, word)
+                                if kind == RW_SPAN:
+                                    self._pending = (
+                                        SPAN_CONT, block, base, count, stride, words, j, kind,
+                                        WRITE_ONLY,
+                                    )
+                                elif j + 1 < count:
+                                    self._pending = (
+                                        SPAN_CONT, block, base, count, stride, words, j + 1, kind,
+                                        BATCH,
+                                    )
+                                self.block(t, B_READ)
+                                prot.cpu_read_miss(node, t, block)
+                                return
+                        mode = fresh
+                        if kind != READ_SPAN:
+                            if obs is not None:
+                                obs.record_write(my_id, block, word, t)
+                            if tags[s] == block and states[s] == 2 and (wt is None or block in wt):
+                                if wt is not None:
+                                    wt[block].add(word)
+                                t += 1
+                            else:
+                                nt = prot.cpu_write(node, t, block, word)
+                                if nt < 0:
+                                    self._pending = (
+                                        SPAN_CONT, block, base, count, stride, words, j, kind,
+                                        WRITE_ONLY if kind == RW_SPAN else BATCH,
+                                    )
+                                    self.block(t, B_WB)
+                                    return
+                                t = nt
+                            nw += 1
+                            if vm is not None:
+                                vm.write(my_id, block, word)
+                        j += 1
+                        if j == count:
+                            break
+                        if t >= deadline:
+                            self._pending = (
+                                SPAN_CONT, block, base, count, stride, words, j, kind, BATCH,
+                            )
+                            sim.at(t, self.run_quantum)
+                            return
 
-            elif kind == READ_RUN or kind == WRITE_RUN or kind == RW_RUN or kind == RW_RESUME:
-                if len(op) == 5:
-                    _, base, count, stride, j = op
-                else:
-                    _, base, count, stride = op
-                    j = 0
-                skip_read_once = kind == RW_RESUME
-                if skip_read_once:
-                    kind = RW_RUN
-                is_read = kind == READ_RUN
-                is_rw = kind == RW_RUN
-                addr = base + j * stride
-                while j < count:
+                # -- scalar ops (the same steps as Processor.run_quantum) --------
+                elif kind == COMPUTE:
+                    c = op[1]
+                    if t + c <= deadline:
+                        t += c
+                    else:
+                        done_now = deadline - t
+                        self._pending = (COMPUTE, c - done_now)
+                        sim.at(deadline, self.run_quantum)
+                        return
+
+                elif kind == READ:
+                    addr = op[1]
+                    block = addr >> lsh
+                    s = block & mask
+                    nr += 1
+                    if tags[s] == block and states[s]:
+                        t += 1
+                        if vm is not None:
+                            vm.read_hit(my_id, block, (addr >> 3) & wmask)
+                    elif wb_words is not None and block in wb_words:
+                        t += 1  # read bypasses / forwards from the write buffer
+                        if vm is not None:
+                            vm.read_wb(my_id, block, (addr >> 3) & wmask)
+                    else:
+                        stats.read_misses += 1
+                        word = (addr >> 3) & wmask
+                        if obs is not None:
+                            obs.classify_miss(my_id, block, word, t)
+                        if vm is not None:
+                            vm.read_miss(my_id, block, word)
+                        self.block(t, B_READ)
+                        prot.cpu_read_miss(node, t, block)
+                        return
+
+                elif kind == WRITE:
+                    addr = op[1]
                     block = addr >> lsh
                     s = block & mask
                     word = (addr >> 3) & wmask
-                    if (is_read or is_rw) and not skip_read_once:
-                        stats.reads += 1
-                        if tags[s] == block and states[s]:
-                            t += 1
-                            if vm is not None:
-                                vm.read_hit(my_id, block, word)
-                        elif wb_words is not None and block in wb_words:
-                            t += 1
-                            if vm is not None:
-                                vm.read_wb(my_id, block, word)
-                        else:
-                            stats.read_misses += 1
-                            if obs is not None:
-                                obs.classify_miss(my_id, block, word, t)
-                            if vm is not None:
-                                vm.read_miss(my_id, block, word)
-                            if is_rw:
-                                self._pending = (RW_RESUME, base, count, stride, j)
-                            else:
-                                self._pending = (kind, base, count, stride, j + 1)
-                            self.block(t, B_READ)
-                            prot.cpu_read_miss(node, t, block)
+                    if obs is not None:
+                        obs.record_write(my_id, block, word, t)
+                    if tags[s] == block and states[s] == 2 and (wt is None or block in wt):
+                        if wt is not None:
+                            wt[block].add(word)
+                        t += 1
+                    else:
+                        nt = prot.cpu_write(node, t, block, word)
+                        if nt < 0:
+                            self._pending = op
+                            self.block(t, B_WB)
                             return
-                    skip_read_once = False
-                    if not is_read:
-                        if obs is not None:
-                            obs.record_write(my_id, block, word, t)
-                        if tags[s] == block and states[s] == 2:
-                            wt = self._wt_words
-                            if wt is None:
-                                stats.writes += 1
-                                t += 1
-                            else:
-                                ws = wt.get(block)
-                                if ws is not None:
-                                    ws.add(word)
-                                    stats.writes += 1
-                                    t += 1
-                                else:
-                                    t = prot.cpu_write(node, t, block, word)
-                                    stats.writes += 1
-                            if vm is not None:
-                                vm.write(my_id, block, word)
-                        else:
-                            nt = prot.cpu_write(node, t, block, word)
-                            if nt < 0:
-                                self._pending = (
-                                    (RW_RESUME if is_rw else kind),
-                                    base,
-                                    count,
-                                    stride,
-                                    j,
-                                )
-                                self.block(t, B_WB)
-                                return
-                            stats.writes += 1
-                            t = nt
-                            if vm is not None:
-                                vm.write(my_id, block, word)
-                    j += 1
-                    addr += stride
-                    if t >= deadline and j < count:
-                        self._pending = (kind, base, count, stride, j)
-                        sim.at(t, self.run_quantum)
-                        return
+                        t = nt
+                    nw += 1
+                    if vm is not None:
+                        vm.write(my_id, block, word)
 
-            elif kind == COMPUTE:
-                c = op[1]
-                if t + c <= deadline:
-                    t += c
-                else:
-                    done_now = deadline - t
-                    self._pending = (COMPUTE, c - done_now)
-                    sim.at(deadline, self.run_quantum)
+                elif kind == ACQUIRE:
+                    stats.acquires += 1
+                    self.block(t, B_SYNC)
+                    prot.cpu_acquire(node, t, op[1])
                     return
 
-            elif kind == ACQUIRE:
-                stats.acquires += 1
-                self.block(t, B_SYNC)
-                prot.cpu_acquire(node, t, op[1])
-                return
+                elif kind == RELEASE:
+                    stats.releases += 1
+                    self.block(t, B_SYNC)
+                    prot.cpu_release(node, t, op[1])
+                    return
 
-            elif kind == RELEASE:
-                stats.releases += 1
-                self.block(t, B_SYNC)
-                prot.cpu_release(node, t, op[1])
-                return
+                elif kind == BARRIER:
+                    stats.barriers += 1
+                    self.block(t, B_SYNC)
+                    prot.cpu_barrier(node, t, op[1])
+                    return
 
-            elif kind == BARRIER:
-                stats.barriers += 1
-                self.block(t, B_SYNC)
-                prot.cpu_barrier(node, t, op[1])
-                return
+                elif kind == FENCE:
+                    self.block(t, B_SYNC)
+                    prot.cpu_fence(node, t)
+                    return
 
-            elif kind == FENCE:
-                self.block(t, B_SYNC)
-                prot.cpu_fence(node, t)
-                return
+                elif kind == SET_FLAG:
+                    stats.releases += 1
+                    self.block(t, B_SYNC)
+                    prot.cpu_set_flag(node, t, op[1])
+                    return
 
-            elif kind == SET_FLAG:
-                stats.releases += 1
-                self.block(t, B_SYNC)
-                prot.cpu_set_flag(node, t, op[1])
-                return
+                elif kind == WAIT_FLAG:
+                    stats.acquires += 1
+                    self.block(t, B_SYNC)
+                    prot.cpu_wait_flag(node, t, op[1])
+                    return
 
-            elif kind == WAIT_FLAG:
-                stats.acquires += 1
-                self.block(t, B_SYNC)
-                prot.cpu_wait_flag(node, t, op[1])
-                return
+                else:
+                    raise ValueError(f"unknown opcode {kind!r}")
 
-            else:
-                raise ValueError(f"unknown opcode {kind!r}")
+                if t >= deadline:
+                    self._pending = None
+                    sim.at(t, self.run_quantum)
+                    return
 
-            if t >= deadline:
-                self._pending = None
-                sim.at(t, self.run_quantum)
-                return
-
+        finally:
+            self._i = i
+            stats.reads += nr
+            stats.writes += nw
 
 def install_replay(machine, stream) -> None:
     """Swap every node's CPU for a :class:`ReplayProcessor` fed from

@@ -42,6 +42,11 @@ class Protocol:
     uses_write_buffer = True     # SC overrides to False
     write_through = False        # lazy protocols override to True
     timestamp_coherence = False  # tardis overrides to True
+    #: Cache states in which ``cpu_write`` to a block with a live
+    #: write-buffer entry only coalesces the word into that entry: it
+    #: returns ``t + 1``, sends nothing and cannot stall.  The replay
+    #: engine batches span tails on this (pinned by tests/test_protocols.py).
+    wb_coalesce_states = frozenset()
 
     def __init__(self, machine) -> None:
         self.machine = machine

@@ -34,6 +34,7 @@ class ERCProtocol(MSIHomeMixin, Protocol):
     name = "erc"
     uses_write_buffer = True
     write_through = False
+    wb_coalesce_states = frozenset((INVALID, RO))
     dir_cost_attr = "erc_dir_cost"
 
     def make_directory(self):

@@ -49,6 +49,7 @@ class LRCProtocol(Protocol):
     name = "lrc"
     uses_write_buffer = True
     write_through = True
+    wb_coalesce_states = frozenset((INVALID,))  # RO upgrades, RW uses the cbuf
     dir_cost_attr = "lrc_dir_cost"
 
     def make_directory(self):

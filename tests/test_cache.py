@@ -101,7 +101,7 @@ class TestWriteBuffer:
         assert wb.add(10, 0)
         assert wb.add(10, 3)  # coalesces
         assert len(wb) == 1
-        assert wb.coalesced == 1
+        assert wb.words[10] == {0, 3}
 
     def test_fifo_order(self):
         wb = WriteBuffer(4)
@@ -164,7 +164,7 @@ class TestCoalescingBuffer:
         assert cb.add(5, {0, 1}) is None
         assert cb.add(5, {2}) is None
         assert cb.words[5] == {0, 1, 2}
-        assert cb.merges == 1
+        assert len(cb) == 1
 
     def test_capacity_displaces_fifo_victim(self):
         cb = CoalescingBuffer(2)

@@ -8,6 +8,7 @@ and stall accounting — the mechanisms Section 2 of the paper describes.
 import pytest
 
 from repro import Machine, SystemConfig
+from repro.cache.state import INVALID, RO, RW
 from repro.directory.entry import DIRTY, SHARED, UNCACHED, WEAK
 from repro.network.messages import MsgType
 from repro.program.ops import (
@@ -545,6 +546,65 @@ class TestTardisMechanisms:
         r = run(m, [prog(0)])
         assert r.traffic.count[MsgType.EVICT_NOTICE] == 0
         assert r.traffic.count[MsgType.RELINQUISH] == 0
+
+
+class TestWriteBufferCoalescing:
+    """The contract the replay engine batches span tails on: a write to a
+    block with a live write-buffer entry, in one of the protocol's
+    ``wb_coalesce_states``, only adds its word to that entry."""
+
+    COALESCE_STATES = {
+        "sc": set(),
+        "erc": {INVALID, RO},
+        "lrc": {INVALID},
+        "lrc-ext": {INVALID},
+        "tardis": {INVALID},
+    }
+
+    @staticmethod
+    def live_entry(proto, state):
+        """A machine whose node 0 has a write-buffer entry ``{0}`` for a
+        block, with the block's line then put in ``state``."""
+        m = Machine(cfg(2), protocol=proto)
+        seg = m.space.alloc(4096, "d")
+        node = m.nodes[0]
+        block = seg.base >> m.config.line_shift
+        assert m.protocol.cpu_write(node, 0, block, 0) == 1
+        assert node.wb.words[block] == {0}
+        if state != INVALID:
+            node.cache.install(block, state)
+        return m, node, block
+
+    @pytest.mark.parametrize("proto", sorted(COALESCE_STATES))
+    def test_declared_states(self, proto):
+        m = Machine(cfg(2), protocol=proto)
+        assert m.protocol.wb_coalesce_states == self.COALESCE_STATES[proto]
+
+    @pytest.mark.parametrize(
+        "proto,state",
+        [(p, st) for p, sts in sorted(COALESCE_STATES.items()) for st in sorted(sts)],
+    )
+    def test_write_only_coalesces(self, proto, state):
+        m, node, block = self.live_entry(proto, state)
+        sent = list(m.fabric.stats.count)
+        busy = node.wb_head_busy
+        assert m.protocol.cpu_write(node, 10, block, 1) == 11
+        assert node.wb.words[block] == {0, 1}
+        assert len(node.wb) == 1
+        assert m.fabric.stats.count == sent
+        assert node.wb_head_busy == busy
+        assert node.cache.lookup(block) == state
+
+    def test_lrc_read_only_line_upgrades_instead(self):
+        m, node, block = self.live_entry("lrc", RO)
+        sent = sum(m.fabric.stats.count)
+        upgrades = node.stats.upgrade_misses
+        assert m.protocol.cpu_write(node, 10, block, 1) == 11
+        assert node.cache.lookup(block) == RW
+        assert node.stats.upgrade_misses == upgrades + 1
+        assert node.wb.words[block] == {0}
+        assert node.cbuf.words[block] == {1}
+        assert sum(m.fabric.stats.count) == sent + 1  # the write notice
 
 
 class TestProtocolRegistry:

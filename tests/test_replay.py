@@ -91,6 +91,23 @@ class TestDifferential:
         checked = spec.run(engine="replay").to_dict()
         assert checked == plain
 
+    # Resumed spans: a tail re-promoted after a miss, an upgrade, a cold
+    # buffer entry or a write-buffer stall must hit the quantum-deadline
+    # split on both parities.  An odd small quantum makes it do so often;
+    # the two line sizes are the warm and write-through-bound bench shapes.
+    @pytest.mark.parametrize("line_size", (512, 256))
+    @pytest.mark.parametrize("app", ("gauss", "fft"))
+    @pytest.mark.parametrize("mode", ("classify", "value-check"))
+    def test_resumed_spans_bit_identical(self, app, line_size, mode, monkeypatch):
+        over = (("cache_size", 1 << 20), ("line_size", line_size), ("quantum", 37))
+        if mode == "value-check":
+            monkeypatch.setenv("REPRO_VALUE_CHECK", "1")
+        for proto in PROTOCOLS:
+            spec = small_spec(app, proto, overrides=over, classify=mode == "classify")
+            gen = spec.run(engine="generator").to_dict()
+            rep = spec.run(engine="replay").to_dict()
+            assert gen == rep, f"{app}/{proto} diverged"
+
     def test_simulate_engines_agree(self):
         a = simulate(Gauss, cfg(), "lrc", n=24)
         b = simulate(Gauss, cfg(), "lrc", engine="generator", n=24)
