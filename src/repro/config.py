@@ -102,6 +102,9 @@ class SystemConfig:
             raise ValueError("page_size must be a multiple of line_size")
         if self.wb_entries < 1 or self.cbuf_entries < 1:
             raise ValueError("buffer sizes must be >= 1")
+        if self.word_size != 8:
+            # Every engine indexes words as ``(addr >> 3) & word_mask``.
+            raise ValueError("word_size must be 8")
 
     # -- derived geometry -----------------------------------------------------
 

@@ -9,7 +9,9 @@ flat Python lists in which
 * every run op is decomposed into **block spans**: maximal runs of
   consecutive elements that fall in one cache block, pre-tagged with the
   block number and (for write/rw spans) the tuple of word indices the
-  elements touch.
+  elements touch.  Spans are cut by arithmetic on the block bounds and
+  the stride, and equal word tuples are one shared object, so compiling
+  costs O(spans), not O(elements).
 
 The :class:`ReplayProcessor` drives a machine from a micro-program with
 a slot-based cursor (plain integer index into the list; no generator
@@ -85,48 +87,47 @@ def compile_stream(stream) -> List[list]:
 
     Span decomposition depends only on the stream's own geometry
     (``line_size`` / ``word_size`` are part of the stream's identity), so
-    the compiled form is valid for every machine the stream may legally
-    replay on, whatever its cache size or timing parameters.
+    the compiled form is valid for every machine the stream may replay
+    on.  The work is per span: each block's element count follows from
+    its bounds and the stride, and each distinct word tuple is built once
+    per ``(offset in line, count, stride)`` and shared (spans only read it).
     """
     if stream._compiled is not None:
         return stream._compiled
     line_size = stream.meta["line_size"]
     lsh = line_size.bit_length() - 1
     wmask = (line_size // stream.meta["word_size"]) - 1
+    word_tuples: dict = {}
+    cols = (stream.op, stream.a, stream.b, stream.c)
     programs: List[list] = []
     for pid in range(stream.n_procs):
         sl = stream.proc_slice(pid)
         out: list = []
         push = out.append
-        for kind, x, y, z in zip(
-            stream.op[sl].tolist(),
-            stream.a[sl].tolist(),
-            stream.b[sl].tolist(),
-            stream.c[sl].tolist(),
-        ):
+        for kind, x, y, z in zip(*(col[sl].tolist() for col in cols)):
             if kind in _RUN_KINDS:
-                base, count, stride = x, y, z
-                j = 0
-                addr = base
-                while j < count:
+                addr, count, stride = x, y, z
+                while count > 0:
                     block = addr >> lsh
-                    k = 1
-                    nxt = addr + stride
-                    while j + k < count and (nxt >> lsh) == block:
-                        k += 1
-                        nxt += stride
+                    off = addr - (block << lsh)
+                    if stride > 0:
+                        k = min(count, (line_size - 1 - off) // stride + 1)
+                    else:
+                        k = min(count, off // -stride + 1) if stride else count
                     if kind == READ_RUN:
                         push((READ_SPAN, block, addr, k, stride))
                     else:
-                        words = tuple(
-                            ((addr + m * stride) >> 3) & wmask for m in range(k)
-                        )
+                        words = word_tuples.get((off, k, stride))
+                        if words is None:
+                            words = word_tuples[off, k, stride] = tuple(
+                                ((off + m * stride) >> 3) & wmask for m in range(k)
+                            )
                         push((
                             WRITE_SPAN if kind == WRITE_RUN else RW_SPAN,
                             block, addr, k, stride, words,
                         ))
-                    j += k
-                    addr = nxt
+                    addr += k * stride
+                    count -= k
             elif kind == FENCE:
                 push((FENCE,))
             else:
@@ -466,7 +467,6 @@ def install_replay(machine, stream) -> None:
     """Swap every node's CPU for a :class:`ReplayProcessor` fed from
     ``stream`` and start them at cycle 0."""
     programs = compile_stream(stream)
-    tracer = machine.tracer
     for node, mops in zip(machine.nodes, programs):
         proc = ReplayProcessor(node, machine)
         node.proc = proc
@@ -476,4 +476,3 @@ def install_replay(machine, stream) -> None:
     # (tracer/checker hold node references, not processor ones, so the
     # swap is invisible to observability — asserted by the checked ==
     # unchecked replay sweeps.)
-    del tracer

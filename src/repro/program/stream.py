@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.program.ops import FENCE, RUN_OPS, SCALAR_ARITY
+from repro.program.ops import RUN_OPS, SCALAR_ARITY
 
 #: Bumped whenever the recorded format or the meaning of a stream key
 #: changes; old cached streams then no longer collide with new ones.
@@ -72,7 +72,7 @@ class RecordedStream:
 
     __slots__ = (
         "op", "a", "b", "c", "starts", "alloc_log", "meta",
-        "_tuples", "_fp", "_compiled",
+        "_fp", "_compiled",
     )
 
     def __init__(self, op, a, b, c, starts, alloc_log, meta) -> None:
@@ -83,7 +83,6 @@ class RecordedStream:
         self.starts = np.asarray(starts, dtype=np.int64)
         self.alloc_log: List[Tuple] = [tuple(entry) for entry in alloc_log]
         self.meta: Dict = dict(meta)
-        self._tuples: List[Optional[list]] = [None] * self.n_procs
         self._fp: Optional[str] = None
         #: Per-proc micro-programs compiled by :mod:`repro.engine.replay`
         #: (block-span decomposition); cached here because the spans
@@ -156,39 +155,6 @@ class RecordedStream:
             starts.append(len(ops))
         meta = {f: getattr(app.cfg, f) for f in STREAM_CONFIG_FIELDS}
         return cls(ops, av, bv, cv, starts, app.ctx.alloc_log, meta)
-
-    # -- replay materialization -------------------------------------------------
-
-    def tuples(self, pid: int) -> list:
-        """Processor ``pid``'s ops as the exact tuple forms the run loop
-        consumes, materialized from the columns once and cached.
-
-        The cached list is shared (read-only) by every replay of this
-        stream in the process — a protocol × config sweep materializes
-        each processor's ops exactly once.
-        """
-        cached = self._tuples[pid]
-        if cached is not None:
-            return cached
-        sl = self.proc_slice(pid)
-        out: list = []
-        push = out.append
-        run_set = _RUN_SET
-        fence = FENCE
-        for kind, x, y, z in zip(
-            self.op[sl].tolist(),
-            self.a[sl].tolist(),
-            self.b[sl].tolist(),
-            self.c[sl].tolist(),
-        ):
-            if kind in run_set:
-                push((kind, x, y, z))
-            elif kind == fence:
-                push((fence,))
-            else:
-                push((kind, x))
-        self._tuples[pid] = out
-        return out
 
     # -- identity / persistence -------------------------------------------------
 

@@ -122,3 +122,11 @@ class TestValidation:
     def test_rejects_bad_buffers(self):
         with pytest.raises(ValueError):
             SystemConfig(wb_entries=0)
+
+    @pytest.mark.parametrize("word_size", (4, 16))
+    def test_rejects_unsupported_word_size(self, word_size):
+        # Word indices are computed as (addr >> 3) & word_mask everywhere,
+        # so any other word size would replay the wrong word sets.
+        with pytest.raises(ValueError, match="word_size"):
+            SystemConfig(word_size=word_size)
+        assert SystemConfig(word_size=8).word_size == 8

@@ -1,7 +1,10 @@
 """Record/replay engine tests (DESIGN.md §11).
 
-Three layers:
+Four layers:
 
+* **compile** — ``compile_stream`` produces exactly the micro-programs of
+  a per-element reference compiler, on all ten non-fuzz apps and on
+  arbitrary single-run streams (hypothesis);
 * **differential** — the replay engine must be bit-identical to the
   legacy generator engine: same ``RunResult.to_dict()`` across all five
   protocols × the seven seed apps, with and without the miss
@@ -15,12 +18,16 @@ Three layers:
   ``run_app`` shapes, ``MachineConfig``, and engine selection.
 """
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import SystemConfig
-from repro.apps import AppContext, Gauss
+from repro.apps import APPS, AppContext, Gauss
 from repro.core import MachineConfig, build_machine, run_app, simulate
+from repro.engine.replay import READ_SPAN, RW_SPAN, WRITE_SPAN, compile_stream
 from repro.harness.spec import ENGINES, ENV_ENGINE, ExperimentSpec, resolve_engine
+from repro.program.ops import FENCE, READ_RUN, RW_RUN, WRITE_RUN
 from repro.program import stream as stream_mod
 from repro.program.stream import RecordedStream, clear_stream_cache
 from repro.results.store import ResultStore
@@ -157,8 +164,8 @@ class TestStreamCache:
         s2 = RecordedStream.from_bytes(s.to_bytes())
         assert s2.fingerprint() == s.fingerprint()
         assert s2.meta == s.meta
-        for pid in range(4):
-            assert s2.tuples(pid) == s.tuples(pid)
+        for col in ("op", "a", "b", "c", "starts"):
+            assert np.array_equal(getattr(s2, col), getattr(s, col))
 
     def test_fingerprint_stable_across_records(self):
         a = RecordedStream.record(Gauss(AppContext(cfg()), n=24))
@@ -172,6 +179,91 @@ class TestStreamCache:
         assert store.load_stream("k") is not None
         path.write_bytes(b"not a stream")
         assert store.load_stream("k") is None
+
+
+def reference_compile(stream):
+    """The per-element span compiler: walks every element of a run to
+    find its block boundaries and builds each word tuple element by
+    element.  ``compile_stream`` must produce exactly its output."""
+    lsh = stream.meta["line_size"].bit_length() - 1
+    wmask = (stream.meta["line_size"] // stream.meta["word_size"]) - 1
+    programs = []
+    for pid in range(stream.n_procs):
+        sl = stream.proc_slice(pid)
+        out = []
+        for kind, x, y, z in zip(
+            stream.op[sl].tolist(), stream.a[sl].tolist(),
+            stream.b[sl].tolist(), stream.c[sl].tolist(),
+        ):
+            if kind in (READ_RUN, WRITE_RUN, RW_RUN):
+                j, addr, count, stride = 0, x, y, z
+                while j < count:
+                    block = addr >> lsh
+                    k = 1
+                    nxt = addr + stride
+                    while j + k < count and (nxt >> lsh) == block:
+                        k += 1
+                        nxt += stride
+                    if kind == READ_RUN:
+                        out.append((READ_SPAN, block, addr, k, stride))
+                    else:
+                        words = tuple(
+                            ((addr + m * stride) >> 3) & wmask for m in range(k)
+                        )
+                        span = WRITE_SPAN if kind == WRITE_RUN else RW_SPAN
+                        out.append((span, block, addr, k, stride, words))
+                    j += k
+                    addr = nxt
+            elif kind == FENCE:
+                out.append((FENCE,))
+            else:
+                out.append((kind, x))
+        programs.append(out)
+    return programs
+
+
+def run_stream(kind, base, count, stride, line_size):
+    """A one-processor stream holding the single run op given."""
+    meta = {"line_size": line_size, "word_size": 8}
+    return RecordedStream([kind], [base], [count], [stride], [0, 1], [], meta)
+
+
+class TestCompile:
+    @pytest.mark.parametrize("line_size", (128, 512))
+    @pytest.mark.parametrize("app", SEED_APPS + SERVICE_APPS)
+    def test_matches_reference_compiler(self, app, line_size):
+        spec = small_spec(app, "sc", overrides=(("line_size", line_size),))
+        c = spec.config()
+        s = RecordedStream.record(APPS[app](AppContext(c), **spec.app_params()))
+        assert compile_stream(s) == reference_compile(s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from((READ_RUN, WRITE_RUN, RW_RUN)),
+        base=st.integers(1 << 20, 1 << 22),
+        count=st.integers(1, 300),
+        stride=st.one_of(
+            st.integers(-2048, -1),
+            st.just(0),
+            st.integers(1, 128).map(lambda w: 8 * w),
+            st.integers(1, 2048).filter(lambda b: b % 8),
+        ),
+        lsh=st.integers(5, 10),
+    )
+    def test_single_run_matches_reference(self, kind, base, count, stride, lsh):
+        s = run_stream(kind, base, count, stride, 1 << lsh)
+        assert compile_stream(s) == reference_compile(s)
+
+    def test_equal_word_tuples_are_shared(self):
+        # Two write runs at the same line offset in different blocks:
+        # their spans carry one tuple object, not two equal ones.
+        s = RecordedStream(
+            [WRITE_RUN, WRITE_RUN], [4096 + 8, 8192 + 8], [4, 4], [16, 16],
+            [0, 2], [], {"line_size": 128, "word_size": 8},
+        )
+        first, second = compile_stream(s)[0]
+        assert first[5] == (1, 3, 5, 7)
+        assert first[5] is second[5]
 
 
 class TestMachineReplay:
