@@ -185,10 +185,10 @@ class Machine:
         self.stats = MachineStats(config.n_procs)
         self.space = AddressSpace(config)
         self.home_of = self.space.build_block_home_lookup()
-        # Logged mode: counts are resolved at end of run from per-node
-        # logs merged in canonical (time, node, index) order, so they are
-        # identical under any shard layout (and under span batching).
-        self.classifier = MissClassifier(logged=True) if classify else None
+        # Counts are resolved at end of run from per-node logs in
+        # canonical (time, node, index) order, so they are identical
+        # under any shard layout (and under span batching).
+        self.classifier = MissClassifier() if classify else None
         self.protocol_name = protocol
         self.nodes: List[Node] = []
         self.protocol = make_protocol(protocol, self)

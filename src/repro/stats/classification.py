@@ -20,21 +20,27 @@ reference [3]):
 The classifier is an optional observer: when detached, the simulator's
 hot paths pay a single ``is None`` test.
 
-Two modes exist.  The *inline* mode (default) classifies at call time,
-ordering events by call order — fine for unit tests and ad-hoc use.
-Machines attach the *logged* mode (``MissClassifier(logged=True)``):
-every call appends to a per-node log stamped with the node's simulated
-time, and :meth:`finalize` replays the merged log in the canonical order
+Every call appends to a per-node log stamped with the node's simulated
+time, and :meth:`finalize` resolves the logs in the canonical order
 ``(time, node, log index)``.  Canonical ordering makes the counts a
 function of the simulated history rather than of host-side event
 interleaving, which is what lets sharded runs (DESIGN.md §14) — and the
 span-batched replay engine, which logs whole write spans as single
 compact records — produce bit-identical classifications.
+
+Resolution costs per miss, not per written word.  Cold, eviction and
+write-upgrade outcomes never read write state, so one sorted pass over
+the non-write records decides them.  Only a miss whose line was lost to
+an invalidation asks about writes: it becomes a query, answered by
+indexing the writes to just the ``(block, word)`` pairs that queries
+name.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from bisect import bisect_left
+from collections import defaultdict
+from typing import Dict, List, Optional, Tuple
 
 COLD = "cold"
 TRUE_SHARING = "true"
@@ -44,11 +50,7 @@ WRITE_MISS = "write"
 
 CATEGORIES = (COLD, TRUE_SHARING, FALSE_SHARING, EVICTION, WRITE_MISS)
 
-# Loss causes recorded when a processor loses a line.
-LOST_EVICTION = 0
-LOST_INVALIDATION = 1
-
-# Logged-mode opcodes (order within the log entry: (t, op, a, b)).
+# Log opcodes (order within the log entry: (t, op, a, b)).
 _OP_WRITE = 0      # a=block, b=word
 _OP_EVICT = 1      # a=block
 _OP_INVAL = 2      # a=block
@@ -60,158 +62,157 @@ _OP_WSPAN = 5      # a=block, b=(words...), extra=time step per element
 class MissClassifier:
     """Word-granularity miss classifier (observer)."""
 
-    def __init__(self, logged: bool = False) -> None:
-        # (block, word) -> (writer, seq) of the last write, any processor.
-        self._last_write: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        self._seq = 0
-        # (proc, block) -> (loss_cause, seq_at_loss).  Presence of the key
-        # also means "proc has accessed this block before" (cold test).
-        self._loss: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    def __init__(self) -> None:
         self.counts: Dict[str, int] = {c: 0 for c in CATEGORIES}
-        self.logged = logged
-        # Per-node operation logs (logged mode).  An op is always
-        # appended to the log of the node *executing* it, so each log's
-        # order is a function of that node's own deterministic history.
-        self._logs: Dict[int, List[tuple]] = {}
+        # Per-node operation logs.  An op is always appended to the log
+        # of the node *executing* it, so each log's order is a function
+        # of that node's own deterministic history.
+        self._logs: Dict[int, List[tuple]] = defaultdict(list)
         self._finalized = False
-
-    def _log(self, proc: int) -> List[tuple]:
-        log = self._logs.get(proc)
-        if log is None:
-            log = self._logs[proc] = []
-        return log
 
     # -- write tracking (called on every simulated write) ----------------------
 
     def record_write(self, proc: int, block: int, word: int, t: int = 0) -> None:
-        if self.logged:
-            self._log(proc).append((t, _OP_WRITE, block, word))
-            return
-        self._seq += 1
-        self._last_write[(block, word)] = (proc, self._seq)
+        self._logs[proc].append((t, _OP_WRITE, block, word))
 
     def record_write_span(
         self, proc: int, t: int, block: int, words, step: int
     ) -> None:
-        """Batch variant (logged mode): one compact record for a span of
-        writes to ``block``, element ``j`` stamped ``t + step * j``.
+        """Batch variant: one compact record for a span of writes to
+        ``block``, element ``j`` writing ``words[j]`` at ``t + step * j``.
 
         The replay engine's span fast paths use this so an attached
-        classifier no longer demotes them to per-element loops; the span
-        expands at :meth:`finalize` into exactly the per-element log the
-        legacy loop would have written.
+        classifier does not demote them to per-element loops.  The span
+        counts as ``len(words)`` log entries; :meth:`finalize` reads its
+        elements only if an invalidation-caused miss asks about
+        ``block``.  ``words`` is kept, not copied: pass an immutable
+        sequence.
         """
-        if self.logged:
-            self._log(proc).append((t, _OP_WSPAN, block, tuple(words), step))
-            return
-        for j, word in enumerate(words):
-            self._seq += 1
-            self._last_write[(block, word)] = (proc, self._seq)
+        self._logs[proc].append((t, _OP_WSPAN, block, words, step))
 
     # -- loss tracking -----------------------------------------------------------
 
     def record_eviction(self, proc: int, block: int, t: int = 0) -> None:
-        if self.logged:
-            self._log(proc).append((t, _OP_EVICT, block, 0))
-            return
-        self._loss[(proc, block)] = (LOST_EVICTION, self._seq)
+        self._logs[proc].append((t, _OP_EVICT, block, 0))
 
     def record_invalidation(self, proc: int, block: int, t: int = 0) -> None:
-        if self.logged:
-            self._log(proc).append((t, _OP_INVAL, block, 0))
-            return
-        self._loss[(proc, block)] = (LOST_INVALIDATION, self._seq)
+        self._logs[proc].append((t, _OP_INVAL, block, 0))
 
     # -- miss classification -------------------------------------------------------
 
-    def classify_miss(self, proc: int, block: int, word: int, t: int = 0):
-        """Classify a data-transfer miss by ``proc`` on ``(block, word)``.
+    def classify_miss(self, proc: int, block: int, word: int, t: int = 0) -> None:
+        """A data-transfer miss by ``proc`` on ``(block, word)``; its
+        category is decided by :meth:`finalize`."""
+        self._logs[proc].append((t, _OP_MISS, block, word))
 
-        Inline mode returns the category; logged mode defers the
-        decision to :meth:`finalize` and returns ``None``.
-        """
-        if self.logged:
-            self._log(proc).append((t, _OP_MISS, block, word))
-            return None
-        return self._classify(proc, block, word)
-
-    def _classify(self, proc: int, block: int, word: int) -> str:
-        key = (proc, block)
-        loss = self._loss.get(key)
-        if loss is None:
-            self.counts[COLD] += 1
-            # Mark the block as seen so the next loss-free miss (none
-            # should occur, but runs can be resumed) is not cold again.
-            self._loss[key] = (LOST_EVICTION, -1)
-            return COLD
-        cause, seq_at_loss = loss
-        if cause == LOST_EVICTION:
-            self.counts[EVICTION] += 1
-            return EVICTION
-        lw = self._last_write.get((block, word))
-        if lw is not None and lw[0] != proc and lw[1] > seq_at_loss:
-            self.counts[TRUE_SHARING] += 1
-            return TRUE_SHARING
-        self.counts[FALSE_SHARING] += 1
-        return FALSE_SHARING
-
-    def classify_write_upgrade(self, proc: int, block: int, t: int = 0):
+    def classify_write_upgrade(self, proc: int, block: int, t: int = 0) -> None:
         """A write to a read-only cached block (no data transfer)."""
-        if self.logged:
-            self._log(proc).append((t, _OP_UPGRADE, block, 0))
-            return None
-        self.counts[WRITE_MISS] += 1
-        # Ensure the cold test sees the block as touched.
-        self._loss.setdefault((proc, block), (LOST_EVICTION, -1))
-        return WRITE_MISS
+        self._logs[proc].append((t, _OP_UPGRADE, block, 0))
 
-    # -- logged-mode resolution -------------------------------------------------
+    # -- resolution ------------------------------------------------------------------
 
     def finalize(self) -> None:
-        """Replay the per-node logs in canonical ``(t, node, index)``
-        order, filling ``counts`` (logged mode; inline mode: no-op).
+        """Resolve the per-node logs in canonical ``(t, node, index)``
+        order, filling ``counts``.
+
+        Pass 1 sorts only the non-write records and decides every miss
+        that does not depend on writes.  A miss on a line lost to an
+        invalidation becomes a query ``(block, word, proc, loss_key,
+        miss_key)`` of canonical keys; pass 2 (:meth:`_sharing`) settles
+        those.
 
         Idempotent.  Called by the machine at end of run; reporting
         accessors call it defensively.
         """
-        if not self.logged or self._finalized:
+        if self._finalized:
             return
         self._finalized = True
-        elems: List[tuple] = []
-        push = elems.append
-        for proc in sorted(self._logs):
+        logs = self._logs
+        recs: List[tuple] = []
+        push = recs.append
+        for proc, log in logs.items():
             idx = 0
-            for entry in self._logs[proc]:
-                if entry[1] == _OP_WSPAN:
-                    t0, _, block, words, step = entry
-                    for j, word in enumerate(words):
-                        push((t0 + step * j, proc, idx, _OP_WRITE, block, word))
-                        idx += 1
+            for entry in log:
+                op = entry[1]
+                if op == _OP_WSPAN:
+                    idx += len(entry[3])
+                    continue
+                if op != _OP_WRITE:
+                    push((entry[0], proc, idx, op, entry[2], entry[3]))
+                idx += 1
+        recs.sort()
+        counts = self.counts
+        # (proc, block) -> canonical key of the invalidation that last
+        # took the line, or None when the last loss was an eviction or
+        # the block has not been lost since its first touch (a cold miss
+        # or an upgrade).  Absence means "never accessed" (the cold test).
+        loss: Dict[Tuple[int, int], Optional[tuple]] = {}
+        queries: List[tuple] = []
+        for t, proc, idx, op, block, word in recs:
+            key = (proc, block)
+            if op == _OP_MISS:
+                if key not in loss:
+                    counts[COLD] += 1
+                    loss[key] = None
+                elif loss[key] is None:
+                    counts[EVICTION] += 1
                 else:
-                    t0, op, a, b = entry
-                    push((t0, proc, idx, op, a, b))
-                    idx += 1
-        self._logs.clear()
-        elems.sort()
-        last_write = self._last_write
-        loss = self._loss
-        seq = self._seq
-        for _t, proc, _idx, op, block, word in elems:
-            if op == _OP_WRITE:
-                seq += 1
-                last_write[(block, word)] = (proc, seq)
-            elif op == _OP_MISS:
-                self._seq = seq
-                self._classify(proc, block, word)
-                seq = self._seq
+                    queries.append((block, word, proc, loss[key], (t, proc, idx)))
             elif op == _OP_INVAL:
-                loss[(proc, block)] = (LOST_INVALIDATION, seq)
+                loss[key] = (t, proc, idx)
             elif op == _OP_EVICT:
-                loss[(proc, block)] = (LOST_EVICTION, seq)
+                loss[key] = None
             else:  # _OP_UPGRADE
-                self.counts[WRITE_MISS] += 1
-                loss.setdefault((proc, block), (LOST_EVICTION, -1))
-        self._seq = seq
+                counts[WRITE_MISS] += 1
+                loss.setdefault(key, None)
+        if queries:
+            self._sharing(queries)
+        logs.clear()
+
+    def _sharing(self, queries: List[tuple]) -> None:
+        """Pass 2: count each query as true or false sharing.
+
+        Indexes the canonical keys of the writes to the queried
+        ``(block, word)`` pairs only (a write elsewhere costs one set
+        test), then finds the last write before the miss.  The miss is
+        true sharing iff that write is another processor's and comes
+        after the loss — ordered by canonical key, the same order the
+        writes retire in.
+        """
+        writes: Dict[Tuple[int, int], List[tuple]] = {
+            (q[0], q[1]): [] for q in queries
+        }
+        blocks = {block for block, _ in writes}
+        for proc, log in self._logs.items():
+            idx = 0
+            for entry in log:
+                op = entry[1]
+                if op == _OP_WSPAN:
+                    t0, _, block, words, step = entry
+                    if block in blocks:
+                        for j, word in enumerate(words):
+                            keys = writes.get((block, word))
+                            if keys is not None:
+                                keys.append((t0 + step * j, proc, idx + j))
+                    idx += len(words)
+                    continue
+                if op == _OP_WRITE and entry[2] in blocks:
+                    keys = writes.get((entry[2], entry[3]))
+                    if keys is not None:
+                        keys.append((entry[0], proc, idx))
+                idx += 1
+        for keys in writes.values():
+            keys.sort()
+        true = 0
+        for block, word, proc, loss_key, miss_key in queries:
+            keys = writes[(block, word)]
+            i = bisect_left(keys, miss_key)
+            if i:
+                last = keys[i - 1]
+                if last[1] != proc and last > loss_key:
+                    true += 1
+        self.counts[TRUE_SHARING] += true
+        self.counts[FALSE_SHARING] += len(queries) - true
 
     # -- reporting ------------------------------------------------------------------
 
@@ -230,8 +231,8 @@ class MissClassifier:
     # -- serialization (result store) -------------------------------------------
 
     def to_dict(self) -> Dict[str, int]:
-        """Category counts only: the word-level tracking maps are working
-        state of a live run, not part of the measured result."""
+        """Category counts only: the per-node logs are working state of
+        a live run, not part of the measured result."""
         self.finalize()
         return dict(self.counts)
 
@@ -239,7 +240,7 @@ class MissClassifier:
     def from_dict(cls, d: Dict[str, int]) -> "MissClassifier":
         """Rebuild a reporting-only classifier (counts/percentages work;
         further ``record_*``/``classify_*`` calls would start from empty
-        tracking state and must not be mixed with restored counts)."""
+        logs and must not be mixed with restored counts)."""
         c = cls()
         c.counts = {cat: int(d.get(cat, 0)) for cat in CATEGORIES}
         return c
