@@ -59,7 +59,7 @@ def timed(fn, reps=3):
     conventional headline, least scheduler noise) and the median (the
     stability check: a median far off the min flags a noisy host).
     Every throughput trajectory file (``BENCH_engine.json``,
-    ``BENCH_pdes.json``) reports through this one helper so their
+    ``BENCH_scaling.json``) reports through this one helper so their
     numbers are comparable.
     """
     times = []

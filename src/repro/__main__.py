@@ -71,7 +71,7 @@ from repro.harness.experiments import (
     table3_miss_rates,
 )
 from repro.harness.presets import APP_PRESETS, APP_PRESETS_SMALL
-from repro.harness.spec import ENGINES, ENV_ENGINE, ENV_SHARDS
+from repro.harness.spec import ENGINES, ENV_ENGINE
 from repro.protocols import REGISTRY, all_names
 from repro.results.store import DEFAULT_ROOT, ResultStore
 from repro.stats.report import format_table
@@ -615,18 +615,10 @@ def main(argv=None) -> int:
         "(kept for differential testing) — results are bit-identical"
     )
 
-    shards_help = (
-        "shard count for the windowed PDES scheduler (default 1 = "
-        "serial); sharded runs are bit-identical to serial ones, so the "
-        "choice — like --engine — never enters result fingerprints; "
-        "clamped to the machine's node count"
-    )
-
     def add_engine(p) -> None:
         p.add_argument(
             "--engine", default=None, choices=ENGINES, help=engine_help
         )
-        p.add_argument("--shards", type=int, default=None, help=shards_help)
 
     p_run = sub.add_parser("run", help="run one app under one protocol")
     p_run.add_argument("app", choices=sorted(APPS))
@@ -637,9 +629,7 @@ def main(argv=None) -> int:
     p_run.add_argument(
         "--faults", default=None, metavar="PLAN",
         help="attach a fault plan (FaultPlan mini-language, e.g. "
-        "drop=0.02,seed=7); worker_kill=E:S;... schedules harness-level "
-        "chaos — SIGKILL shard S's worker at epoch E (process backend) — "
-        "without perturbing the simulated network",
+        "drop=0.02,seed=7)",
     )
     add_engine(p_run)
 
@@ -863,8 +853,6 @@ def main(argv=None) -> int:
     if getattr(args, "engine", None):
         # Via the environment so parallel workers inherit the choice.
         os.environ[ENV_ENGINE] = args.engine
-    if getattr(args, "shards", None):
-        os.environ[ENV_SHARDS] = str(args.shards)
     if args.cmd == "list":
         return _cmd_list(args)
     if args.cmd == "run":

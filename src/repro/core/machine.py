@@ -107,7 +107,6 @@ class MachineConfig:
     value_model: bool = False
     faults: Optional[object] = None
     stall_cycles: Optional[int] = None
-    shards: int = 1
 
     def build(self) -> "Machine":
         """Assemble a fresh :class:`Machine` from this description."""
@@ -136,8 +135,6 @@ class Machine:
         value_model: bool = False,
         faults=None,
         stall_cycles: Optional[int] = None,
-        shards: int = 1,
-        shard_backend: Optional[str] = None,
     ) -> None:
         # Import here to avoid a cycle (protocols import nothing from core,
         # but core.__init__ re-exports both directions for users).
@@ -145,28 +142,7 @@ class Machine:
         from repro.protocols import make_protocol
 
         self.config = config
-        self.shards = shards
-        self.shard_backend = "inproc"
-        if shards > 1:
-            from repro.engine.shard import resolve_shard_backend
-
-            self.shard_backend = resolve_shard_backend(shard_backend)
-            # The value model asserts against one globally-ordered access
-            # stream; windowed shard execution interleaves node streams
-            # differently, so it stays a serial-engine-only oracle.
-            if value_model:
-                raise ValueError("value_model requires shards=1")
-            from repro.engine.shard import ShardedSimulator
-
-            self.sim = ShardedSimulator(
-                n_procs=config.n_procs,
-                shards=shards,
-                lookahead=config.hop_latency,
-                max_cycles=max_cycles,
-            )
-        else:
-            self.sim = Simulator(max_cycles=max_cycles)
-        self.sim.machine = self
+        self.sim = Simulator(max_cycles=max_cycles)
         # ``faults`` accepts a FaultPlan, a plan dict, or the CLI string
         # form.  Only an *active* plan swaps in the reliable fabric; an
         # inert (zero-rate) plan keeps the plain fabric, so its runs are
@@ -187,7 +163,7 @@ class Machine:
         self.home_of = self.space.build_block_home_lookup()
         # Counts are resolved at end of run from per-node logs in
         # canonical (time, node, index) order, so they are identical
-        # under any shard layout (and under span batching).
+        # under span batching.
         self.classifier = MissClassifier() if classify else None
         self.protocol_name = protocol
         self.nodes: List[Node] = []
@@ -199,9 +175,6 @@ class Machine:
             self.nodes.append(node)
         self._finished = 0
         self._ran = False
-        # Structured record of process-backend crash recovery (kills /
-        # respawns / fallback), populated by engine.shard_proc.
-        self.shard_recovery = None
         self.tracer = None
         self.checker = None
         self.valmodel = None
@@ -257,7 +230,6 @@ class Machine:
             )
         for node, gen in zip(self.nodes, programs):
             node.proc.set_program(gen)
-            self.sim.on_node(node.id)  # seed into the node's shard
             node.proc.start()
         return self._complete()
 
@@ -297,41 +269,13 @@ class Machine:
         return self._complete()
 
     def _complete(self) -> RunResult:
-        """Shared run tail: watchdog, event loop, deadlock check, result."""
+        """Shared run tail: watchdog, event loop, deadlock check,
+        observer finalization, result."""
         if self.stall_cycles:
             from repro.faults.watchdog import StallWatchdog
 
             StallWatchdog(self, self.stall_cycles).arm()
-        if self.shards > 1 and self.shard_backend == "process":
-            from repro.engine.shard_proc import UnsupportedBackend, run_forked
-
-            try:
-                run_forked(self)
-            except UnsupportedBackend as exc:
-                # Auto-fallback, never a silent semantic change: the
-                # in-process backend is bit-identical, just slower, and
-                # the warning names the observer that forced it.
-                import logging
-
-                logging.getLogger("repro.engine.shard_proc").warning(
-                    "process shard backend unsupported (%s: %s); "
-                    "falling back to the in-process backend",
-                    exc.observer, exc,
-                )
-                self.shard_backend = "inproc"
-                self.sim.run()
-        else:
-            self.sim.run()
-        return self._finish()
-
-    def _finish(self) -> RunResult:
-        """Post-loop tail: deadlock check, observer finalization, result.
-
-        Shared by the normal run path and :meth:`resume` — a restored
-        machine re-enters the event loop and then needs exactly this
-        tail to produce a :class:`RunResult` comparable bit-for-bit with
-        an uninterrupted run's.
-        """
+        self.sim.run()
         if self._finished != self.config.n_procs:
             stuck = [
                 (n.id, n.proc.block_reason, n.out_count, len(n.wb or ()))
@@ -353,37 +297,3 @@ class Machine:
             traffic=self.fabric.stats,
             classifier=self.classifier,
         )
-
-    # -- checkpoint / restore / resume (DESIGN.md §15) ---------------------------
-
-    def snapshot(self):
-        """Serialize this machine's full deterministic state.
-
-        Take it at a quiescent point: between events, or from the
-        sharded engine's ``barrier_hook``.  Returns a verified
-        :class:`~repro.engine.checkpoint.Checkpoint`; raises
-        :class:`~repro.engine.checkpoint.CheckpointUnsupported` for
-        generator-engine machines (live generators are unpicklable).
-        """
-        from repro.engine.checkpoint import snapshot_machine
-
-        return snapshot_machine(self)
-
-    @classmethod
-    def restore(cls, checkpoint) -> "Machine":
-        """Rebuild a machine from a checkpoint (verifying its checksum)
-        with transient hooks re-armed; pair with :meth:`resume`."""
-        from repro.engine.checkpoint import restore_machine
-
-        return restore_machine(checkpoint)
-
-    def resume(self) -> RunResult:
-        """Run a restored machine to completion.
-
-        Drains the remaining events on the in-process path (serial queue
-        or the sharded windowed loop — restored machines never re-fork)
-        and produces a :class:`RunResult` bit-identical to what the
-        uninterrupted run would have returned.
-        """
-        self.sim.run()
-        return self._finish()

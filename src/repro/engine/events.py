@@ -2,24 +2,21 @@
 
 A thin wrapper over :mod:`heapq` whose ordering key is *canonical*: it
 depends only on simulated time plus per-source sequence numbers, never
-on which partition of the machine happened to insert the event first.
-That property is what lets the sharded PDES scheduler (DESIGN.md §14)
-reproduce the serial engine bit-for-bit — serial and sharded modes share
-this queue and therefore the same same-timestamp tie-break.
+on the order in which events happened to be inserted.  The golden
+fixtures encode exactly this order, so the same-timestamp tie-break is
+part of the behaviour contract, not an implementation detail.
 
 Two lanes exist at every timestamp:
 
 * **local** (lane 0) — events a node schedules for itself (CPU quanta,
   protocol follow-ups, resource completions).  Ties break by an explicit
   monotonic insertion sequence, so same-time local events fire in FIFO
-  order.  Local events of *different* nodes commute (each touches only
-  its own node's state), so the insertion counter does not need to be
-  shared across shards.
+  order.
 * **remote** (lane 1) — cross-node arrivals injected by the fabric.
   Ties break by ``(src, src_seq)``: the sending node's id plus its
   per-source send counter.  Both are properties of the *sender's* own
   deterministic execution, so remote arrivals sort identically no matter
-  which shard delivered them or when they crossed an epoch barrier.
+  in which order the sends executed.
 
 At equal timestamps the local lane fires before the remote lane.  Heap
 entries always carry the full ``(time, lane, k1, k2, seq)`` key before
@@ -30,7 +27,7 @@ callbacks (the bug class the explicit-seq tie-break exists to prevent).
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Tuple
 
 #: Lane of events a node schedules for itself (FIFO by insertion).
 LANE_LOCAL = 0
@@ -83,16 +80,13 @@ class EventQueue:
         src_seq: int,
         callback: Callable,
         args: tuple,
-        dst: int = -1,
     ) -> None:
         """Schedule a remote arrival from ``src`` with canonical key
         ``(time, src, src_seq)``.
 
         ``src_seq`` must be unique per source (the fabric's per-node send
         counter), making the key a total order independent of insertion
-        order — and therefore of the shard layout.  ``dst`` is the
-        destination node: a sharded scheduler routes on it, a single
-        queue ignores it.
+        order.
         """
         if time < self.now:
             raise ValueError(
@@ -110,7 +104,3 @@ class EventQueue:
         time, _lane, _k1, _k2, _seq, callback, args = heappop(self._heap)
         self.now = time
         return time, callback, args
-
-    def peek_time(self) -> Optional[int]:
-        """Time of the earliest pending event, or ``None`` if empty."""
-        return self._heap[0][0] if self._heap else None

@@ -471,7 +471,6 @@ def install_replay(machine, stream) -> None:
         proc = ReplayProcessor(node, machine)
         node.proc = proc
         proc.set_micro_program(mops)
-        machine.sim.on_node(node.id)  # seed into the node's shard
         proc.start()
     # (tracer/checker hold node references, not processor ones, so the
     # swap is invisible to observability — asserted by the checked ==

@@ -6,9 +6,9 @@ physical transmission (first sends, retransmits, and acks alike); the
 injector owns one seeded PRNG substream *per transmitting node*, so each
 node's fault schedule is a pure function of (plan, that node's own
 transmission order).  Per-node streams — rather than one global stream —
-are what keep the schedule independent of cross-node event interleaving,
-so sharded runs (DESIGN.md §14) draw exactly the decisions serial runs
-draw.
+keep the schedule independent of cross-node event interleaving: a
+change that moves one node's events cannot reshuffle every other
+node's faults.
 """
 
 from __future__ import annotations

@@ -106,14 +106,6 @@ class FaultPlan:
 
     ``rto`` (0 = derive from the machine's timing parameters) and
     ``max_retries`` tune the recovery layer, not the faults themselves.
-
-    ``worker_kill`` is *harness-level* chaos: ``(epoch, shard)`` events
-    at which the process shard backend SIGKILLs its own worker to
-    exercise crash recovery (:mod:`repro.engine.shard_proc`).  Unlike
-    every other field it perturbs the harness, not the interconnect:
-    recovery is bit-identical, so the events never make a plan
-    :attr:`active` (the plain fabric stays in) and never enter a spec
-    fingerprint.  Ignored outside the process backend.
     """
 
     seed: int = 0
@@ -131,7 +123,6 @@ class FaultPlan:
     rto: int = 0
     max_retries: int = 12
     phases: Tuple[FaultPhase, ...] = field(default=())
-    worker_kill: Tuple[Tuple[int, int], ...] = field(default=())
 
     #: Fields that are per-message probabilities.
     RATE_FIELDS = ("drop", "dup", "delay", "reorder")
@@ -142,14 +133,6 @@ class FaultPlan:
             for p in self.phases
         )
         object.__setattr__(self, "phases", phases)
-        kills = tuple(sorted((int(e), int(s)) for e, s in self.worker_kill))
-        object.__setattr__(self, "worker_kill", kills)
-        for e, s in kills:
-            if e < 0 or s < 0:
-                raise ValueError(
-                    f"worker_kill events must be (epoch >= 0, shard >= 0), "
-                    f"got ({e}, {s})"
-                )
         for prev, cur in zip(phases, phases[1:]):
             if cur.start < prev.end:
                 raise ValueError(
@@ -227,12 +210,6 @@ class FaultPlan:
             del d["phases"]
         else:
             d["phases"] = [p.to_dict() for p in self.phases]
-        # Same rule for chaos events: a kill-free plan serializes as it
-        # did before worker_kill existed.
-        if not self.worker_kill:
-            del d["worker_kill"]
-        else:
-            d["worker_kill"] = [list(k) for k in self.worker_kill]
         return d
 
     @classmethod
@@ -248,9 +225,7 @@ class FaultPlan:
         """Parse the CLI mini-language: ``drop=0.02,dup=0.02,delay=0.05``.
 
         Keys are :class:`FaultPlan` field names; values are coerced to
-        the field's type (``channel`` stays a string).  Chaos events use
-        ``:`` within and ``;`` between pairs: ``worker_kill=40:0;90:1``
-        kills shard 0's worker at epoch 40 and shard 1's at epoch 90.
+        the field's type (``channel`` stays a string).
         """
         d: Dict[str, Any] = {}
         types = {f.name: f.type for f in fields(cls)}
@@ -274,13 +249,7 @@ class FaultPlan:
                     f"(expected one of {sorted(types)})"
                 )
             raw = raw.strip()
-            if key == "worker_kill":
-                d[key] = tuple(
-                    tuple(int(x) for x in pair.split(":"))
-                    for pair in raw.split(";")
-                    if pair
-                )
-            elif key == "channel":
+            if key == "channel":
                 d[key] = raw
             elif key in ("src", "dst"):
                 d[key] = int(raw)
@@ -310,8 +279,6 @@ class FaultPlan:
         ]
         if self.phases:
             parts.append(f"phases={len(self.phases)}")
-        if self.worker_kill:
-            parts.append(f"kill={len(self.worker_kill)}")
         if self.seed:
             parts.append(f"seed={self.seed}")
         return ",".join(parts) or "inert"

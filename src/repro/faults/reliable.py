@@ -187,12 +187,12 @@ class ReliableFabric(Fabric):
                 self.stats.delays_injected += 1
             # Physical arrivals ride the canonical remote lane (keyed by
             # the sender's send counter), so receive-side processing
-            # order is identical under any shard layout.
+            # order never depends on the order the sends executed in.
             sseq = self._sseq[src]
             self._sseq[src] = sseq + 1
             self.sim.deliver_remote(
                 arrival + dec.extra, src, sseq,
-                self._phys_arrive, (key, seq, entry), dst,
+                self._phys_arrive, (key, seq, entry),
             )
             if dec.dup:
                 self.stats.dups_injected += 1
@@ -200,7 +200,7 @@ class ReliableFabric(Fabric):
                 self._sseq[src] = sseq + 1
                 self.sim.deliver_remote(
                     arrival + dec.extra + _DUP_GAP, src, sseq,
-                    self._phys_arrive, (key, seq, entry), dst,
+                    self._phys_arrive, (key, seq, entry),
                 )
         rto = self.rto << min(entry.attempts, _BACKOFF_CAP)
         self.sim.at(t + rto, self._check_timeout, key, seq)
@@ -302,7 +302,7 @@ class ReliableFabric(Fabric):
         sseq = self._sseq[dst]
         self._sseq[dst] = sseq + 1
         self.sim.deliver_remote(
-            arrival + dec.extra, dst, sseq, self._phys_ack, (key, upto), src
+            arrival + dec.extra, dst, sseq, self._phys_ack, (key, upto)
         )
 
     def _phys_ack(self, key: Tuple[int, int, str], upto: int) -> None:

@@ -56,17 +56,10 @@ class SimulationStall(RuntimeError):
 
 
 class StallWatchdog:
-    """Periodic no-progress check over one :class:`~repro.core.machine.Machine`.
+    """Periodic no-progress check over one :class:`~repro.core.machine.Machine`,
+    run as a self-rescheduling event."""
 
-    On the serial engine the check is a self-rescheduling event.  On the
-    sharded engine it rides the epoch-barrier hook instead: the budget is
-    consumed only by *machine-wide* zero-commit windows, so a shard that
-    spends epochs idle at the barrier (its nodes waiting on cross-shard
-    replies) can never be misread as a livelock — progress anywhere in
-    any shard resets the window, exactly as in the serial engine.
-    """
-
-    __slots__ = ("machine", "interval", "_last", "_next_check")
+    __slots__ = ("machine", "interval", "_last")
 
     def __init__(self, machine, interval: int = DEFAULT_STALL_CYCLES) -> None:
         if interval < 1:
@@ -74,7 +67,6 @@ class StallWatchdog:
         self.machine = machine
         self.interval = interval
         self._last = -1
-        self._next_check = 0
 
     def progress(self) -> int:
         """Monotone progress signal: committed ops + finished processors."""
@@ -86,11 +78,7 @@ class StallWatchdog:
     def arm(self) -> None:
         sim = self.machine.sim
         self._last = self.progress()
-        if hasattr(sim, "barrier_hook"):
-            self._next_check = sim.now + self.interval
-            sim.barrier_hook = self._on_barrier
-        else:
-            sim.at(sim.now + self.interval, self._check)
+        sim.at(sim.now + self.interval, self._check)
 
     def _stall(self, now: int) -> None:
         m = self.machine
@@ -116,7 +104,7 @@ class StallWatchdog:
         sim = m.sim
         if m._finished >= m.config.n_procs:
             return  # all done; let the queue drain
-        if not sim.has_pending():
+        if not sim:
             # Queue drained with processors blocked: a true deadlock.
             # Don't reschedule — Machine.run's DeadlockError diagnosis
             # (which names the stuck processors) is the better report.
@@ -127,15 +115,3 @@ class StallWatchdog:
         self._last = cur
         sim.at(sim.now + self.interval, self._check)
 
-    def _on_barrier(self, now: int) -> None:
-        """Sharded check point, called after every epoch barrier."""
-        if now < self._next_check:
-            return
-        m = self.machine
-        if m._finished >= m.config.n_procs or not m.sim.has_pending():
-            return
-        cur = self.progress()
-        if cur == self._last:
-            self._stall(now)
-        self._last = cur
-        self._next_check = now + self.interval

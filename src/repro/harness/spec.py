@@ -27,9 +27,8 @@ from repro.faults.plan import FaultPlan
 #: 2: canonical event ordering (two-lane queue, arrival-ordered receive
 #: NICs, logged classifier) shifted simulated numbers slightly.
 #: 3: canonical sorted write-notice/invalidation send order — sharer and
-#: writer sets now notify in node-id order so a checkpointed machine
-#: resumes bit-identically (set iteration order does not survive a
-#: pickle rebuild); shifted simulated numbers slightly.
+#: writer sets now notify in node-id order, not set iteration order;
+#: shifted simulated numbers slightly.
 SPEC_VERSION = 3
 
 MACHINE_KINDS = ("default", "future")
@@ -46,13 +45,6 @@ MACHINE_KINDS = ("default", "future")
 ENGINES = ("replay", "generator")
 ENV_ENGINE = "REPRO_ENGINE"
 
-#: Shard count for the windowed PDES scheduler (DESIGN.md §14).  Sharded
-#: runs are bit-identical to serial ones, so — exactly like the engine
-#: choice — ``shards`` is transient: not a spec field, never part of the
-#: fingerprint, selectable per process via ``REPRO_SHARDS`` or per call
-#: via ``spec.run(shards=N)`` / ``--shards`` on the CLI.
-ENV_SHARDS = "REPRO_SHARDS"
-
 
 def resolve_engine(engine=None) -> str:
     """The engine to use: explicit argument, else ``REPRO_ENGINE``, else
@@ -65,20 +57,6 @@ def resolve_engine(engine=None) -> str:
             f"unknown engine {engine!r} (expected one of {ENGINES})"
         )
     return engine
-
-
-def resolve_shards(shards=None) -> int:
-    """Shard count to use: explicit argument, else ``REPRO_SHARDS``,
-    else 1 (serial)."""
-    import os
-
-    if shards is None:
-        env = os.environ.get(ENV_SHARDS, "")
-        shards = int(env) if env else 1
-    shards = int(shards)
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    return shards
 
 
 @dataclass(frozen=True)
@@ -200,21 +178,10 @@ class ExperimentSpec:
         # ``faults`` field existed, so pinned fingerprints and old
         # result stores stay valid; likewise a spec without app-param
         # overrides fingerprints as it did before ``params`` existed.
-        if d.get("faults") is None:
+        # An inert default plan cannot perturb a run, so it fingerprints
+        # as no faults at all.
+        if d.get("faults") is None or d["faults"] == FaultPlan().to_dict():
             d.pop("faults", None)
-        else:
-            # Harness-level chaos (worker_kill) perturbs the scheduler's
-            # workers, never the simulated numbers — recovery is
-            # bit-identical — so it must not split the result cache.  A
-            # plan that was *only* chaos (the stripped residue is the
-            # default, inert plan) fingerprints as no faults at all.
-            d["faults"] = {
-                k: v for k, v in d["faults"].items() if k != "worker_kill"
-            }
-            from repro.faults.plan import FaultPlan
-
-            if d["faults"] == FaultPlan().to_dict():
-                d.pop("faults")
         if not d.get("params"):
             d.pop("params", None)
         canon = json.dumps(
@@ -268,13 +235,13 @@ class ExperimentSpec:
 
     # -- execution ------------------------------------------------------------
 
-    def machine_config(self, shards: Optional[int] = None):
+    def machine_config(self, shards: int = 1):
         """The :class:`~repro.core.machine.MachineConfig` this spec
         describes, with the observation-only environment toggles
-        (``REPRO_CHECK_INVARIANTS``, ``REPRO_VALUE_CHECK``) and the
-        transient shard count (``REPRO_SHARDS``) resolved.  The shard
-        count is clamped to ``n_procs`` so a process-wide setting works
-        for small smoke machines too."""
+        (``REPRO_CHECK_INVARIANTS``, ``REPRO_VALUE_CHECK``) resolved."""
+        # The engine is serial; shards=1 stays accepted for existing callers.
+        if shards != 1:
+            raise ValueError(f"the simulator is serial; shards={shards}")
         import os
 
         from repro.core.machine import MachineConfig
@@ -289,10 +256,6 @@ class ExperimentSpec:
         value_check = self.app == "fuzz" and os.environ.get(
             "REPRO_VALUE_CHECK", ""
         ) not in ("", "0")
-        shards = min(resolve_shards(shards), self.n_procs)
-        if value_check:
-            # The value model is a serial-engine-only oracle.
-            shards = 1
         return MachineConfig(
             config=self.config(),
             protocol=self.protocol,
@@ -300,7 +263,6 @@ class ExperimentSpec:
             check_invariants=check,
             value_model=value_check,
             faults=self.faults,
-            shards=shards,
         )
 
     def stream_key(self) -> str:
@@ -322,19 +284,18 @@ class ExperimentSpec:
             self.app, self.app_params(), self.config(), store=store
         )
 
-    def run(self, engine: Optional[str] = None, shards: Optional[int] = None):
+    def run(self, engine: Optional[str] = None):
         """Execute this spec on a fresh machine (no result caching).
 
         Pure: equal specs produce bit-identical :class:`RunResult`
-        numbers under either engine and any shard count (the invariant
-        checker and value model, when enabled, only observe; the replay
-        engine is held bit-identical to the generator engine by the
-        differential suite, and the sharded scheduler to the serial one
-        by the sharding suite).  Callers wanting memoization go through
+        numbers under either engine (the invariant checker and value
+        model, when enabled, only observe; the replay engine is held
+        bit-identical to the generator engine by the differential
+        suite).  Callers wanting memoization go through
         :func:`repro.harness.experiments.run_spec`.
         """
         engine = resolve_engine(engine)
-        mc = self.machine_config(shards=shards)
+        mc = self.machine_config()
         machine = mc.build()
         if engine == "replay":
             from repro.results.store import default_store

@@ -13,14 +13,12 @@ time; it arrives at the destination after the transit latency; and it
 is handed to the destination protocol processor no earlier than the
 receive NIC frees up.
 
-Delivery is two-phase, and the phase split is what makes the schedule
-*partition-independent* (DESIGN.md §14): the send books only the source
+Delivery is two-phase (DESIGN.md §14): the send books only the source
 NIC and computes the wire-arrival time; the receive NIC is booked by an
 arrival event carried on the remote lane of the event queue, keyed
 ``(arrival, src, src_seq)``.  Receive-side contention is therefore
 resolved in canonical arrival order — never in the order sends happened
-to execute — so a sharded run books the destination NIC in exactly the
-serial order.
+to execute — which is the order the golden fixtures encode.
 """
 
 from __future__ import annotations
@@ -161,7 +159,7 @@ class Fabric:
         self._sseq[src] = sseq + 1
         self._deliver_remote(
             arrival, src, sseq, self._arrive_cb,
-            (chan, dst, occ, handler, args), dst,
+            (chan, dst, occ, handler, args),
         )
         return arrival
 
@@ -175,9 +173,9 @@ class Fabric:
     ) -> None:
         """Arrival phase: book the receive NIC ``chan[dst]``, then hand off.
 
-        Runs at the destination (in sharded mode: in the destination's
-        shard), so the receive NIC is contended in canonical arrival
-        order regardless of where the send executed.
+        Runs as a remote-lane event at the wire-arrival time, so the
+        receive NIC is contended in canonical arrival order regardless of
+        the order the sends executed in.
         """
         sim = self.sim
         t = sim.now
@@ -189,43 +187,3 @@ class Fabric:
             chan[dst] = free + occ
             sim.at(free, handler, free, *args)
 
-
-class ShardBoundary:
-    """Cross-shard delivery proxy for the sharded scheduler.
-
-    Remote deliveries whose destination lives in another shard are
-    queued here — with their canonical ``(arrival, src, src_seq)`` keys
-    already assigned — and drained into the destination shards' event
-    queues at the epoch barrier.  The conservative window guarantees
-    every queued arrival is at or beyond the next epoch's start, so
-    draining at the barrier can never deliver into a shard's past.
-    """
-
-    __slots__ = ("pending", "count")
-
-    def __init__(self, n_shards: int) -> None:
-        self.pending: List[list] = [[] for _ in range(n_shards)]
-        self.count = 0
-
-    def route(
-        self,
-        dst_shard: int,
-        time: int,
-        src: int,
-        src_seq: int,
-        callback: Callable,
-        args: tuple,
-    ) -> None:
-        self.pending[dst_shard].append((time, src, src_seq, callback, args))
-        self.count += 1
-
-    def exchange(self, queues) -> None:
-        """Drain every queued cross-shard arrival into its shard's queue."""
-        if not self.count:
-            return
-        for queue, recs in zip(queues, self.pending):
-            if recs:
-                for time, src, src_seq, callback, args in recs:
-                    queue.push_remote(time, src, src_seq, callback, args)
-                recs.clear()
-        self.count = 0

@@ -90,15 +90,6 @@ class MessageStats:
         self.bytes[mtype] += size
         self.total_hops += hops
 
-    def merge(self, other: "MessageStats") -> None:
-        """Add ``other``'s counters into these, in place."""
-        for k, c in enumerate(other.count):
-            self.count[k] += c
-            self.bytes[k] += other.bytes[k]
-        self.total_hops += other.total_hops
-        for name in RELIABILITY_COUNTERS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
     @property
     def total_messages(self) -> int:
         return sum(self.count)

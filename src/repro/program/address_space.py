@@ -58,7 +58,7 @@ class Segment:
 
 
 class BlockHomeLookup:
-    """Picklable ``block -> home node id`` map (hot-path callable).
+    """``block -> home node id`` map (hot-path callable).
 
     Holds the *live* ``page_home`` list by reference — it grows as the
     space allocates — plus the constant block→page shift.
@@ -72,12 +72,6 @@ class BlockHomeLookup:
 
     def __call__(self, block: int) -> int:
         return self.page_home[block >> self.shift]
-
-    def __getstate__(self):
-        return (self.page_home, self.shift)
-
-    def __setstate__(self, state):
-        self.page_home, self.shift = state
 
 
 class AddressSpace:
@@ -145,11 +139,9 @@ class AddressSpace:
     def build_block_home_lookup(self):
         """Return a fast ``block -> home`` callable for the hot path.
 
-        A :class:`BlockHomeLookup` value object rather than a closure:
-        the callable is reachable from every protocol object, so it must
-        be *picklable* for machine checkpoints (DESIGN.md §15).  It
-        shares ``page_home`` by reference, so allocations made after the
-        lookup was built are still visible through it.
+        The :class:`BlockHomeLookup` shares ``page_home`` by reference,
+        so allocations made after the lookup was built are still visible
+        through it.
         """
         return BlockHomeLookup(self.page_home, self._page_shift - self._line_shift)
 

@@ -104,9 +104,6 @@ class MSIHomeMixin:
         """A fill reply (data or grant) is now in flight to ``requester``."""
         node = self.nodes[requester]
         node.fill_reply_pending[block] = node.fill_reply_pending.get(block, 0) + 1
-        # Cross-node mark: written here (home/owner), observed at the
-        # requester no earlier than the reply could arrive.
-        self.machine.sim.shard_effect(requester, "fill", block)
 
     def _reply_end(self, node, block: int) -> None:
         left = node.fill_reply_pending[block] - 1
@@ -155,8 +152,7 @@ class MSIHomeMixin:
         owner evicted the line and its WRITEBACK (data channel) was
         overtaken by this re-request (control channel).  The request is
         held until the writeback lands — judged purely from the home's
-        directory, so the decision needs no cross-node state and shards
-        cleanly (DESIGN.md §14).
+        directory, so the decision needs no cross-node state.
         """
         entry = home.directory.entries.get(block)
         return (

@@ -24,9 +24,9 @@ Every call appends to a per-node log stamped with the node's simulated
 time, and :meth:`finalize` resolves the logs in the canonical order
 ``(time, node, log index)``.  Canonical ordering makes the counts a
 function of the simulated history rather than of host-side event
-interleaving, which is what lets sharded runs (DESIGN.md §14) — and the
-span-batched replay engine, which logs whole write spans as single
-compact records — produce bit-identical classifications.
+interleaving, which is what lets the span-batched replay engine, which
+logs whole write spans as single compact records, produce
+classifications bit-identical to per-element execution.
 
 Resolution costs per miss, not per written word.  Cold, eviction and
 write-upgrade outcomes never read write state, so one sorted pass over

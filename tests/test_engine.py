@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine import EventQueue, Resource, Simulator
 from repro.engine.simulator import DeadlockError
+from repro.harness.spec import ExperimentSpec
 
 
 class TestEventQueue:
@@ -33,12 +34,6 @@ class TestEventQueue:
         assert not q
         q.push(0, lambda: None)
         assert q and len(q) == 1
-
-    def test_peek_time(self):
-        q = EventQueue()
-        assert q.peek_time() is None
-        q.push(42, lambda: None)
-        assert q.peek_time() == 42
 
     def test_rejects_negative_time(self):
         q = EventQueue()
@@ -136,3 +131,74 @@ class TestSimulator:
             sim.at(i, lambda: None)
         sim.run()
         assert sim.events_processed == 5
+
+
+class TestEventQueueTieBreak:
+    """The explicit same-timestamp tie-break (two lanes)."""
+
+    def _drain(self, q):
+        out = []
+        while q:
+            _, cb, args = q.pop()
+            cb(*args)
+        return out
+
+    def test_local_fifo_at_equal_timestamps(self):
+        q = EventQueue()
+        order = []
+        # Interleave pushes at two equal-time groups: each group must
+        # fire in exactly its insertion order (explicit monotonic seq,
+        # never callback comparison).
+        for i in range(8):
+            q.push(5, order.append, ("t5", i))
+            q.push(9, order.append, ("t9", i))
+        while q:
+            _, cb, args = q.pop()
+            cb(*args)
+        assert order == [("t5", i) for i in range(8)] + \
+                        [("t9", i) for i in range(8)]
+
+    def test_local_lane_fires_before_remote_at_equal_time(self):
+        q = EventQueue()
+        order = []
+        q.push_remote(7, 0, 0, order.append, ("remote",))
+        q.push(7, order.append, "local")
+        while q:
+            _, cb, args = q.pop()
+            cb(*args)
+        assert order == ["local", "remote"]
+
+    def test_remote_lane_orders_by_src_then_seq(self):
+        q = EventQueue()
+        order = []
+        # Inserted in scrambled order; must fire sorted by (src, seq) —
+        # the canonical key that makes remote order insertion-independent.
+        for src, seq in [(2, 0), (0, 1), (1, 5), (0, 0), (1, 2)]:
+            q.push_remote(4, src, seq, order.append, ((src, seq),))
+        while q:
+            _, cb, args = q.pop()
+            cb(*args)
+        assert order == [(0, 0), (0, 1), (1, 2), (1, 5), (2, 0)]
+
+    def test_remote_rejects_negative_time(self):
+        q = EventQueue()
+        with pytest.raises(ValueError):
+            q.push_remote(-1, 0, 0, lambda: None, ())
+
+
+class TestDeterminism256:
+    """256-node kvstore on every protocol, with the invariant checker as
+    the oracle: the run must finish with every check passing."""
+
+    @pytest.mark.parametrize(
+        "protocol", ["sc", "erc", "lrc", "lrc-ext", "tardis"]
+    )
+    def test_kvstore_256(self, protocol):
+        spec = ExperimentSpec(
+            app="kvstore", protocol=protocol, n_procs=256, classify=True,
+            small=True, check_invariants=True,
+        )
+        machine = spec.machine_config().build()
+        result = machine.replay(spec.recorded_stream())
+        assert machine.checker.checks_run > 0
+        assert result.exec_time > 0

@@ -6,7 +6,6 @@ from collections import Counter
 import pytest
 
 from repro.config import SystemConfig
-from repro.engine.shard import ShardedSimulator
 from repro.engine.simulator import Simulator
 from repro.faults.plan import FaultPlan
 from repro.faults.reliable import ReliableFabric
@@ -180,18 +179,13 @@ def _fabric_reliable_inert(cfg):
     return ReliableFabric(cfg, sim, plan), sim
 
 
-def _fabric_two_shards(cfg):
-    sim = ShardedSimulator(cfg.n_procs, 2, lookahead=cfg.hop_latency)
-    return Fabric(cfg, sim), sim
-
-
 class TestReceiveNicOrder:
     """The receive NIC is booked in canonical ``(arrival, src, src_seq)``
     order, whatever order the sends executed in."""
 
     @pytest.mark.parametrize(
-        "make", [_fabric_serial, _fabric_reliable_inert, _fabric_two_shards],
-        ids=["serial", "reliable-inert", "shards-2"],
+        "make", [_fabric_serial, _fabric_reliable_inert],
+        ids=["serial", "reliable-inert"],
     )
     @pytest.mark.parametrize(
         "mtype", [MsgType.DATA_REPLY, MsgType.ACK], ids=["data", "ctl"]
@@ -204,10 +198,8 @@ class TestReceiveNicOrder:
         dst = 5  # (1, 1); every source below is one hop away
         got = []
         # Sources 9 and 6 arrive together, source 4 one cycle later.  The
-        # sends run in the reverse of canonical order, from both shards
-        # (node i lives in shard i % 2) under the sharded simulator.
+        # sends run in the reverse of canonical order.
         for src, t in ((4, 1), (9, 0), (6, 0)):
-            sim.on_node(src)
             f.send(src, dst, mtype, t, lambda t, s: got.append((s, t)), src)
         sim.run()
         size = cfg.line_size if mtype in DATA_BEARING else 0
@@ -276,12 +268,3 @@ class TestMessageStatsSerialization:
         assert s.total_messages == len(self.SENT)
         assert s.total_bytes == 184
         assert s.as_dict()["DATA_REPLY"] == (1, 128)
-
-    def test_merge_adds_in_place(self):
-        a, b = self._stats(), self._stats()
-        count = a.count
-        b.retransmits = 3
-        a.merge(b)
-        assert a.count is count
-        assert a.count[MsgType.READ_REQ] == 4
-        assert a.retransmits == 3

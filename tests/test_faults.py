@@ -134,6 +134,8 @@ class TestSpecIntegration:
         base = ExperimentSpec("mp3d", "lrc", n_procs=4, small=True)
         assert base.with_(faults=MILD).fingerprint() != base.fingerprint()
         assert base.with_(faults=None).fingerprint() == base.fingerprint()
+        # An inert default plan cannot perturb a run: no faults either.
+        assert base.with_(faults=FaultPlan()).fingerprint() == base.fingerprint()
 
     def test_spec_round_trips_with_faults(self):
         spec = ExperimentSpec("mp3d", "lrc", n_procs=4, small=True,
@@ -398,33 +400,3 @@ class TestFaultPhases:
                     f"{[(p.start, p.end) for p in phases]}"
                 )
 
-
-class TestWorkerKillChaos:
-    """``worker_kill`` chaos events on the plan (DESIGN.md §15): parsed,
-    serialized, and labeled — but never treated as message faults."""
-
-    def test_parse_cli_form(self):
-        p = FaultPlan.parse("worker_kill=90:1;40:0")
-        assert p.worker_kill == ((40, 0), (90, 1))  # sorted by epoch
-
-    def test_parse_rejects_negative_events(self):
-        with pytest.raises(ValueError, match="worker_kill"):
-            FaultPlan(worker_kill=((-1, 0),))
-        with pytest.raises(ValueError, match="worker_kill"):
-            FaultPlan(worker_kill=((3, -2),))
-
-    def test_chaos_only_plan_is_not_active(self):
-        p = FaultPlan(worker_kill=((3, 0),))
-        assert not p.active
-
-    def test_to_dict_omits_empty_kills_and_round_trips(self):
-        assert "worker_kill" not in FaultPlan(drop=0.01).to_dict()
-        p = FaultPlan(drop=0.01, worker_kill=((3, 0), (6, 1)))
-        d = p.to_dict()
-        assert d["worker_kill"] == [[3, 0], [6, 1]]
-        assert FaultPlan.from_dict(json.loads(json.dumps(d))) == p
-
-    def test_label_counts_kills(self):
-        assert FaultPlan(worker_kill=((3, 0),)).label() == "kill=1"
-        assert "kill=2" in FaultPlan(
-            drop=0.02, worker_kill=((3, 0), (6, 1))).label()

@@ -49,6 +49,12 @@ class TestConstruction:
 
 
 class TestDerived:
+    def test_machine_config_is_serial_only(self):
+        spec = ExperimentSpec("mp3d", "lrc", n_procs=4, small=True)
+        assert spec.machine_config(shards=1) == spec.machine_config()
+        with pytest.raises(ValueError, match="shards=2"):
+            spec.machine_config(shards=2)
+
     def test_config_applies_kind_and_overrides(self):
         default = ExperimentSpec("mp3d", "lrc", n_procs=8, overrides={"line_size": 64})
         future = ExperimentSpec("mp3d", "lrc", kind="future", n_procs=8)
