@@ -58,9 +58,8 @@ def timed(fn, reps=3):
     "median_s"}`` — so a BENCH cell carries both the best case (the
     conventional headline, least scheduler noise) and the median (the
     stability check: a median far off the min flags a noisy host).
-    Every throughput trajectory file (``BENCH_engine.json``,
-    ``BENCH_scaling.json``) reports through this one helper so their
-    numbers are comparable.
+    The throughput trajectory file (``BENCH_scaling.json``) reports
+    through this one helper.
     """
     times = []
     out = None

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 import time
 
@@ -71,7 +70,6 @@ from repro.harness.experiments import (
     table3_miss_rates,
 )
 from repro.harness.presets import APP_PRESETS, APP_PRESETS_SMALL
-from repro.harness.spec import ENGINES, ENV_ENGINE
 from repro.protocols import REGISTRY, all_names
 from repro.results.store import DEFAULT_ROOT, ResultStore
 from repro.stats.report import format_table
@@ -277,13 +275,13 @@ def _cmd_trace(args) -> int:
         trace_capacity=args.capacity,
         check_level=args.check_level,
     )
-    from repro.apps.common import AppContext
+    from repro.program.stream import recorded_stream
 
     params = (APP_PRESETS_SMALL if args.small else APP_PRESETS)[args.app]
-    app = APPS[args.app](AppContext.for_machine(machine), **params)
+    stream = recorded_stream(args.app, params, cfg)
     tracer = machine.tracer
     try:
-        result = machine.run([app.program(p) for p in range(cfg.n_procs)])
+        result = machine.replay(stream)
     except InvariantViolation as e:
         print(f"INVARIANT VIOLATION: {e}", file=sys.stderr)
         if e.seq is not None:
@@ -608,18 +606,6 @@ def main(argv=None) -> int:
         "(pure observation: cycle counts and fingerprints are unchanged; "
         "cached results are served without re-checking)"
     )
-    engine_help = (
-        "execution engine: 'replay' (default) records each app's "
-        "reference streams once and drives protocols from packed "
-        "arrays; 'generator' resumes app generators per reference "
-        "(kept for differential testing) — results are bit-identical"
-    )
-
-    def add_engine(p) -> None:
-        p.add_argument(
-            "--engine", default=None, choices=ENGINES, help=engine_help
-        )
-
     p_run = sub.add_parser("run", help="run one app under one protocol")
     p_run.add_argument("app", choices=sorted(APPS))
     p_run.add_argument("--protocol", default="lrc", choices=sorted(REGISTRY))
@@ -631,14 +617,12 @@ def main(argv=None) -> int:
         help="attach a fault plan (FaultPlan mini-language, e.g. "
         "drop=0.02,seed=7)",
     )
-    add_engine(p_run)
 
     p_cmp = sub.add_parser("compare", help="run one app under all protocols")
     p_cmp.add_argument("app", choices=sorted(APPS))
     p_cmp.add_argument("--procs", type=int, default=16)
     p_cmp.add_argument("--small", action="store_true")
     p_cmp.add_argument("--check-invariants", action="store_true", help=check_help)
-    add_engine(p_cmp)
 
     p_fig = sub.add_parser(
         "figures",
@@ -675,7 +659,6 @@ def main(argv=None) -> int:
         "and the campaign starts fresh"
     )
     p_fig.add_argument("--resume", action="store_true", help=resume_help)
-    add_engine(p_fig)
 
     p_tr = sub.add_parser(
         "trace",
@@ -763,7 +746,6 @@ def main(argv=None) -> int:
         f"(default {DEFAULT_ROOT})",
     )
     p_fz.add_argument("--resume", action="store_true", help=resume_help)
-    add_engine(p_fz)
 
     p_fl = sub.add_parser(
         "faults",
@@ -805,7 +787,6 @@ def main(argv=None) -> int:
         f"(default {DEFAULT_ROOT})",
     )
     p_fl.add_argument("--resume", action="store_true", help=resume_help)
-    add_engine(p_fl)
 
     p_sc = sub.add_parser(
         "scenarios",
@@ -847,12 +828,8 @@ def main(argv=None) -> int:
         help="do not read or write the on-disk result store",
     )
     p_sc_run.add_argument("--resume", action="store_true", help=resume_help)
-    add_engine(p_sc_run)
 
     args = ap.parse_args(argv)
-    if getattr(args, "engine", None):
-        # Via the environment so parallel workers inherit the choice.
-        os.environ[ENV_ENGINE] = args.engine
     if args.cmd == "list":
         return _cmd_list(args)
     if args.cmd == "run":

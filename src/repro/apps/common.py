@@ -10,14 +10,6 @@ record/replay engine (:mod:`repro.program.stream`,
 workload and replay the recorded stream across a whole
 protocol × config sweep.
 
-The pre-redesign calling convention ``App(machine, ...)`` still works
-through a one-release compatibility shim (a :class:`DeprecationWarning`
-plus an adapter that wraps the machine's config and address space in a
-context); new code should pass an :class:`AppContext`, or an existing
-machine via ``AppContext.for_machine(machine)`` when the app must
-allocate directly into a live machine's address space (the legacy
-generator execution path).
-
 Conventions used by all apps:
 
 * synchronization name spaces: lock ids, flag ids, and barrier ids are
@@ -32,12 +24,11 @@ Conventions used by all apps:
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, Iterator, List, Optional, Type
+from typing import Dict, Iterator, Type
 
 import numpy as np
 
-from repro.program.address_space import AddressSpace, RecordingAddressSpace
+from repro.program.address_space import RecordingAddressSpace
 from repro.program.ops import (
     ACQUIRE,
     BARRIER,
@@ -64,42 +55,17 @@ def register(cls: Type) -> Type:
 class AppContext:
     """What an app builds against: a config plus an address space.
 
-    By default the space is a :class:`RecordingAddressSpace`, so any app
-    constructed from a fresh context can later be recorded into a
+    The space is a :class:`RecordingAddressSpace`, so any app constructed
+    from a context can be recorded into a
     :class:`~repro.program.stream.RecordedStream` (the stream carries the
-    allocation log).  ``for_machine`` wraps a live machine's own space
-    instead — the legacy generator path, where the app allocates directly
-    into the machine it will run on.
+    allocation log).
     """
 
-    __slots__ = ("config", "space", "machine")
+    __slots__ = ("config", "space")
 
-    def __init__(
-        self, config, space: Optional[AddressSpace] = None, machine=None
-    ) -> None:
+    def __init__(self, config) -> None:
         self.config = config
-        self.space = space if space is not None else RecordingAddressSpace(config)
-        self.machine = machine
-
-    @classmethod
-    def for_machine(cls, machine) -> "AppContext":
-        """A context sharing a live machine's config and address space.
-
-        The machine is kept as a backref (``ctx.machine``), so
-        :func:`repro.core.api.run_app` can run the app on the machine it
-        allocated against.
-        """
-        return cls(machine.config, machine.space, machine)
-
-    @property
-    def alloc_log(self):
-        log = getattr(self.space, "alloc_log", None)
-        if log is None:
-            raise TypeError(
-                "this context wraps a non-recording address space; "
-                "apps built against it cannot be recorded"
-            )
-        return log
+        self.space = RecordingAddressSpace(config)
 
 
 class App:
@@ -107,19 +73,12 @@ class App:
 
     name = "app"
 
-    def __init__(self, ctx, seed: int = 0, **params) -> None:
+    def __init__(self, ctx: AppContext, seed: int = 0, **params) -> None:
         if not isinstance(ctx, AppContext):
-            # One-release compatibility shim: App(machine, ...) still
-            # works, wrapped in a context over the machine's space.
-            warnings.warn(
-                f"constructing {type(self).__name__} against a Machine is "
-                "deprecated; pass an AppContext (or "
-                "AppContext.for_machine(machine)) instead",
-                DeprecationWarning,
-                stacklevel=2,
+            raise TypeError(
+                f"{type(self).__name__} is built against an AppContext, "
+                f"not {type(ctx).__name__}"
             )
-            ctx = AppContext.for_machine(ctx)
-        self.machine = ctx.machine
         self.ctx = ctx
         self.space = ctx.space
         self.cfg = ctx.config

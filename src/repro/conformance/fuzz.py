@@ -92,9 +92,9 @@ def build_machine(
     protocol.
 
     The app is built against its own recording context (not the
-    machine), so the pair can execute under either engine: replay
-    applies the app's allocation log to the pristine machine space;
-    the generator path does the same before resuming generators."""
+    machine): the machine replays the app's recorded stream, whose
+    allocation log rebuilds the app's address space, and
+    :func:`verify_run` reads the app's segment and program spec."""
     from repro.apps import APPS
     from repro.apps.common import AppContext
     from repro.core.machine import Machine
@@ -111,28 +111,6 @@ def build_machine(
     )
     app = APPS["fuzz"](AppContext(cfg), program=spec)
     return machine, app
-
-
-def _execute(machine, app, spec: ProgramSpec) -> None:
-    """Run one fuzz machine under the session's engine.
-
-    Replay (the default) records each program's reference streams once —
-    keyed by program content, memoized in-process — so the four
-    protocol runs of an iteration share a single record phase."""
-    from repro.harness.spec import resolve_engine
-
-    if resolve_engine() == "replay":
-        from repro.program.stream import recorded_stream
-
-        stream = recorded_stream(
-            "fuzz", {"program": spec}, fuzz_config(spec.n_procs, spec.seed)
-        )
-        machine.replay(stream)
-    else:
-        from repro.program.address_space import apply_alloc_log
-
-        apply_alloc_log(machine.space, app.ctx.alloc_log)
-        machine.run([app.program(p) for p in range(spec.n_procs)])
 
 
 #: MessageStats counters summed into a fuzz campaign's traffic summary
@@ -268,12 +246,15 @@ def run_one(
     """
     from repro.engine.simulator import DeadlockError
     from repro.faults.watchdog import SimulationStall
+    from repro.program.stream import recorded_stream
     from repro.trace.invariants import InvariantViolation
 
     machine, app = build_machine(spec, protocol, trace=trace, faults=faults)
     try:
         try:
-            _execute(machine, app, spec)
+            # Streams are memoized by program content, so the protocol
+            # runs of one iteration share a single record phase.
+            machine.replay(recorded_stream("fuzz", {"program": spec}, machine.config))
         except ConformanceViolation as e:
             return ("violation", str(e), machine)
         except InvariantViolation as e:

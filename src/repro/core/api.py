@@ -12,25 +12,17 @@ keywords: ``protocol`` names the coherence protocol the machine runs,
 ``classify`` asks for a :class:`repro.stats.classification.MissClassifier`
 to observe the run.  Machines are assembled through
 :class:`~repro.core.machine.MachineConfig` (one value object instead of
-loose ``Machine(...)`` kwargs), and apps execute through the
-record/replay engine by default — the same path
-:meth:`repro.harness.spec.ExperimentSpec.run` takes — with the legacy
-generator engine available via ``engine="generator"`` or
-``REPRO_ENGINE`` for differential testing.
+loose ``Machine(...)`` kwargs), and apps are recorded once and replayed
+— the same path :meth:`repro.harness.spec.ExperimentSpec.run` takes.
 
-:func:`run_app` is the odd one out, because an app may arrive in three
-shapes:
+:func:`run_app` accepts an app in two shapes:
 
 * an **app name** (``"gauss"``) — the call is literally a thin wrapper
   over :class:`~repro.harness.spec.ExperimentSpec`: the spec is built
   from the keyword arguments and run through the standard harness path;
-* a **context-built instance** (the redesigned API:
-  ``Gauss(AppContext(cfg), ...)``) — ``protocol`` / ``classify``
-  *configure* a fresh machine, exactly as in :func:`simulate`;
-* a **machine-bound instance** (built via ``AppContext.for_machine`` or
-  the deprecated ``App(machine, ...)`` shim) — the machine pre-exists,
-  so ``protocol`` / ``classify`` are *validated* against it and a
-  mismatch raises ``ValueError`` instead of being silently ignored.
+* a **context-built instance** (``Gauss(AppContext(cfg), ...)``) —
+  ``protocol`` / ``classify`` configure a fresh machine, exactly as in
+  :func:`simulate`.
 """
 
 from __future__ import annotations
@@ -50,37 +42,28 @@ def build_machine(
 
     ``classify=True`` attaches a miss classifier (Table 2 categories);
     the classifier of the returned machine's :class:`RunResult` is
-    populated after :meth:`Machine.run`.
+    populated after the run.
     """
     return MachineConfig(
         config=config or SystemConfig(), protocol=protocol, classify=classify
     ).build()
 
 
-def _run_context_app(app, mc: MachineConfig, engine: Optional[str]) -> RunResult:
-    """Run a context-built app on a fresh machine described by ``mc``."""
-    from repro.harness.spec import resolve_engine
+def _run_context_app(app, mc: MachineConfig) -> RunResult:
+    """Record a context-built app and replay it on a fresh machine
+    described by ``mc``."""
+    from repro.program.stream import RecordedStream
 
-    machine = mc.build()
-    if resolve_engine(engine) == "replay":
-        from repro.program.stream import RecordedStream
-
-        return machine.replay(RecordedStream.record(app))
-    from repro.program.address_space import apply_alloc_log
-
-    apply_alloc_log(machine.space, app.ctx.alloc_log)
-    return machine.run([app.program(p) for p in range(mc.config.n_procs)])
+    return mc.build().replay(RecordedStream.record(app))
 
 
 def run_app(
     app,
     protocol: Optional[str] = None,
     classify: Optional[bool] = None,
-    engine: Optional[str] = None,
     **spec_fields,
 ) -> RunResult:
-    """Run an application: by name, by context-built instance, or on the
-    machine it was built for.
+    """Run an application, by name or as a context-built instance.
 
     Given an app *name*, this is a thin wrapper over
     :class:`~repro.harness.spec.ExperimentSpec` — ``spec_fields``
@@ -88,15 +71,8 @@ def run_app(
     spec, and the run flows through the same record/replay machinery as
     :func:`repro.harness.experiments.run_experiment`.
 
-    Given a *context-built* instance (no live machine), ``protocol`` and
-    ``classify`` configure a fresh machine, defaulting to ``"lrc"`` /
-    ``False``.
-
-    Given a *machine-bound* instance, the machine pre-exists, so
-    ``protocol`` and ``classify`` are assertions about it, not
-    configuration: pass them to insist the app's machine runs that
-    protocol / has (or lacks) a miss classifier, and a mismatch raises
-    ``ValueError``.  Leave them ``None`` to accept the machine as built.
+    Given a *context-built* instance, ``protocol`` and ``classify``
+    configure a fresh machine, defaulting to ``"lrc"`` / ``False``.
     """
     if isinstance(app, str):
         from repro.harness.spec import ExperimentSpec
@@ -107,32 +83,16 @@ def run_app(
             classify=bool(classify),
             **spec_fields,
         )
-        return spec.run(engine=engine)
+        return spec.run()
     if spec_fields:
         raise TypeError(
             "spec fields (n_procs, small, ...) apply only when running an "
             "app by name"
         )
-    machine = getattr(app, "machine", None)
-    if machine is None:
-        mc = MachineConfig(
-            config=app.cfg, protocol=protocol or "lrc", classify=bool(classify)
-        )
-        return _run_context_app(app, mc, engine)
-    if protocol is not None and machine.protocol_name != protocol:
-        raise ValueError(
-            "app was built against a machine running "
-            f"{machine.protocol_name!r}, not {protocol!r}"
-        )
-    if classify is not None and classify != (machine.classifier is not None):
-        have = "with" if machine.classifier is not None else "without"
-        want = "classify=True" if classify else "classify=False"
-        raise ValueError(
-            f"app was built against a machine {have} a miss classifier, "
-            f"but run_app() was called with {want}; pass classify to "
-            "build_machine()/Machine() when constructing the app's machine"
-        )
-    return machine.run([app.program(p) for p in range(machine.config.n_procs)])
+    mc = MachineConfig(
+        config=app.cfg, protocol=protocol or "lrc", classify=bool(classify)
+    )
+    return _run_context_app(app, mc)
 
 
 def simulate(
@@ -140,20 +100,17 @@ def simulate(
     config: Optional[SystemConfig] = None,
     protocol: str = "lrc",
     classify: bool = False,
-    engine: Optional[str] = None,
     **app_params,
 ) -> RunResult:
     """One-call simulation: build app against a fresh context, run it.
 
     ``protocol`` and ``classify`` configure the machine
-    (see :func:`build_machine`); ``app_params`` go to ``app_cls``.  The
-    run uses the record/replay engine unless ``engine="generator"`` (or
-    ``REPRO_ENGINE``) selects the legacy generator path.
+    (see :func:`build_machine`); ``app_params`` go to ``app_cls``.
     """
     from repro.apps.common import AppContext
 
     cfg = config or SystemConfig()
     app = app_cls(AppContext(cfg), **app_params)
     return _run_context_app(
-        app, MachineConfig(config=cfg, protocol=protocol, classify=classify), engine
+        app, MachineConfig(config=cfg, protocol=protocol, classify=classify)
     )

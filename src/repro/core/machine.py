@@ -12,15 +12,17 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from repro.config import SystemConfig
 from repro.core.node import Node
 from repro.core.processor import Processor
+from repro.engine.replay import compile_stream
 from repro.engine.simulator import DeadlockError, Simulator
 from repro.network.fabric import Fabric
 from repro.network.messages import MessageStats
-from repro.program.address_space import AddressSpace
+from repro.program.address_space import AddressSpace, apply_alloc_log
+from repro.program.stream import STREAM_CONFIG_FIELDS, RecordedStream, pack_programs
 from repro.stats.classification import MissClassifier
 from repro.stats.counters import MachineStats
 
@@ -219,36 +221,33 @@ class Machine:
 
     # -- running -----------------------------------------------------------------
 
-    def run(self, programs: Sequence[Iterator]) -> RunResult:
-        """Run one program generator per processor to completion."""
-        if self._ran:
-            raise RuntimeError("a Machine instance runs exactly one workload")
-        self._ran = True
+    def run(self, programs: Sequence[Iterable]) -> RunResult:
+        """Run one hand-written program per processor to completion.
+
+        Each program is an iterable of op tuples (usually a generator).
+        The programs are packed into a stream with the packer recording
+        uses, so an op no stream can hold raises ``ValueError`` before
+        any event runs; the allocations are whatever the caller made in
+        :attr:`space`.
+        """
+        self._claim()
         if len(programs) != self.config.n_procs:
             raise ValueError(
                 f"need {self.config.n_procs} programs, got {len(programs)}"
             )
-        for node, gen in zip(self.nodes, programs):
-            node.proc.set_program(gen)
-            node.proc.start()
-        return self._complete()
+        meta = {f: getattr(self.config, f) for f in STREAM_CONFIG_FIELDS}
+        columns = pack_programs(programs, "Machine.run")
+        return self._start(RecordedStream(*columns, (), meta))
 
     def replay(self, stream) -> RunResult:
         """Run a :class:`~repro.program.stream.RecordedStream` to completion.
 
-        The replay driver feeds the protocols from the stream's packed
-        arrays (see :mod:`repro.engine.replay`); no application Python
-        executes.  The stream's allocation log reproduces the address
-        space, so directory homes and segment bases are identical to the
-        generator path's.
+        The stream must fit this machine's geometry and the address space
+        must be pristine: the stream's allocation log rebuilds it, so
+        directory homes and segment bases are the recording's own.  No
+        application Python executes.
         """
-        from repro.engine.replay import install_replay
-        from repro.program.address_space import apply_alloc_log
-        from repro.program.stream import STREAM_CONFIG_FIELDS
-
-        if self._ran:
-            raise RuntimeError("a Machine instance runs exactly one workload")
-        self._ran = True
+        self._claim()
         bad = [
             (f, stream.meta[f], getattr(self.config, f))
             for f in STREAM_CONFIG_FIELDS
@@ -265,7 +264,17 @@ class Machine:
                 "already has allocations"
             )
         apply_alloc_log(self.space, stream.alloc_log)
-        install_replay(self, stream)
+        return self._start(stream)
+
+    def _claim(self) -> None:
+        if self._ran:
+            raise RuntimeError("a Machine instance runs exactly one workload")
+        self._ran = True
+
+    def _start(self, stream) -> RunResult:
+        """Compile ``stream``, start every CPU at cycle 0 and run."""
+        for node, mops in zip(self.nodes, compile_stream(stream)):
+            node.proc.start(mops)
         return self._complete()
 
     def _complete(self) -> RunResult:

@@ -1,12 +1,22 @@
-"""The per-node CPU: executes a program's reference stream.
+"""The per-node CPU: runs one compiled micro-program against one node.
+
+Every workload reaches the CPU the same way: as a recorded stream
+compiled by :func:`repro.engine.replay.compile_stream` into a flat list
+of micro-ops (scalar op tuples and same-block spans).  The processor
+walks that list with an integer cursor; there are no generator frames
+on the hot path.
 
 Design notes (hot path):
 
-* Programs yield plain tuples; run-ops amortize generator resumes over
-  whole loops of references.
 * Cache hits are resolved inline against the raw tag/state lists — a
   read hit costs a few integer ops and no function calls; a write hit on
   a read-write line with a live coalescing-buffer entry is equally flat.
+* A span's tail retires as one batch whenever it provably needs no
+  protocol work (see :mod:`repro.engine.replay` for the two batchable
+  cases); the element that does need the protocol runs alone through
+  the per-element step, and the rest of the span re-qualifies.  With a
+  value model attached every element runs per-element, which makes the
+  value-checked run the differential oracle for the batched one.
 * A processor runs in bounded *quanta*: it may advance at most
   ``config.quantum`` cycles past the global clock before rescheduling,
   which bounds the timing skew between processors (important for
@@ -22,22 +32,27 @@ woken (write-buffer full, or SC write miss).
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
+from repro.engine.replay import (
+    BATCH,
+    ELEMENT,
+    READ_SPAN,
+    RW_SPAN,
+    SPAN_CONT,
+    WRITE_ONLY,
+    WRITE_SPAN,
+)
 from repro.program.ops import (
     ACQUIRE,
     BARRIER,
     COMPUTE,
     FENCE,
     READ,
-    READ_RUN,
     RELEASE,
-    RW_RESUME,
-    RW_RUN,
     SET_FLAG,
     WAIT_FLAG,
     WRITE,
-    WRITE_RUN,
 )
 
 # Stall buckets.
@@ -50,7 +65,13 @@ BUCKET_NAMES = {B_READ: "read", B_WB: "write-buffer", B_SYNC: "sync"}
 
 
 class Processor:
-    """Drives one program generator against one node."""
+    """Drives one node from a compiled micro-program.
+
+    The cursor is a plain index (``_i``) into the micro-program list —
+    slot-based and allocation-free.  Scalar ops block with their own
+    tuple as the pending op; a blocked or split span parks as a
+    :data:`~repro.engine.replay.SPAN_CONT` continuation.
+    """
 
     __slots__ = (
         "id",
@@ -59,7 +80,9 @@ class Processor:
         "sim",
         "protocol",
         "stats",
-        "_gen",
+        "_mops",
+        "_i",
+        "_n",
         "_pending",
         "_line_shift",
         "_word_mask",
@@ -79,7 +102,9 @@ class Processor:
         self.protocol = machine.protocol
         self.stats = node.stats
         cfg = machine.config
-        self._gen: Optional[Iterator] = None
+        self._mops: list = []
+        self._i = 0
+        self._n = 0
         self._pending = None
         self._line_shift = cfg.line_shift
         self._word_mask = (cfg.line_size // cfg.word_size) - 1
@@ -90,14 +115,12 @@ class Processor:
         self._block_bucket = B_READ
         # Lazy protocols expose the coalescing buffer's word map so the
         # steady-state write path (RW line, live entry) stays inline.
-        self._wt_words = None
+        self._wt_words = node.cbuf.words if node.cbuf is not None else None
 
-    def set_program(self, gen: Iterator) -> None:
-        self._gen = gen
-        if self.node.cbuf is not None:
-            self._wt_words = self.node.cbuf.words
-
-    def start(self) -> None:
+    def start(self, mops: list) -> None:
+        """Load a micro-program and schedule its first quantum at cycle 0."""
+        self._mops = mops
+        self._n = len(mops)
         self.sim.at(0, self.run_quantum)
 
     # -- blocking ------------------------------------------------------------------
@@ -160,21 +183,24 @@ class Processor:
         """
         op = self._pending
         assert op is not None, "no pending write to complete"
-        kind = op[0]
-        if kind == WRITE:
+        if op[0] == WRITE:
             addr = op[1]
+            block = addr >> self._line_shift
+            word = (addr >> 3) & self._word_mask
             self._pending = None
-        elif kind == WRITE_RUN or kind == RW_RESUME or kind == RW_RUN:
-            _, base, count, stride, i = op
-            addr = base + i * stride
-            nxt = RW_RUN if kind == RW_RESUME else kind
-            self._pending = (nxt, base, count, stride, i + 1)
+        elif op[0] == SPAN_CONT:
+            _, block, base, count, stride, words, j, kind, _mode = op
+            word = words[j]
+            self._pending = (
+                (SPAN_CONT, block, base, count, stride, words, j + 1, kind, BATCH)
+                if j + 1 < count else None
+            )
         else:
             raise AssertionError(f"pending op is not a write: {op!r}")
         self.stats.writes += 1
         vm = self.machine.valmodel
         if vm is not None:
-            vm.write(self.id, addr >> self._line_shift, (addr >> 3) & self._word_mask)
+            vm.write(self.id, block, word)
 
     def _finish(self, t: int) -> None:
         self.done = True
@@ -196,224 +222,269 @@ class Processor:
         wmask = self._word_mask
         stats = self.stats
         prot = self.protocol
-        gen = self._gen
         wb = node.wb
         wb_words = wb.words if wb is not None else None
+        wt = self._wt_words
+        coalesce = prot.wb_coalesce_states
         obs = self.machine.classifier
         vm = self.machine.valmodel
         my_id = self.id
+        mops = self._mops
+        i = self._i
+        n = self._n
+        # A value model must see every element, so it runs spans
+        # per-element; a classifier takes batched writes as span records.
+        fresh = BATCH if vm is None else ELEMENT
 
         pend = self._pending
         self._pending = None
 
-        while True:
-            if pend is not None:
-                op = pend
-                pend = None
-            else:
-                try:
-                    op = next(gen)
-                except StopIteration:
+        # Reads and writes count in locals and reach ``stats`` when the
+        # quantum ends; nothing reads the counters while a CPU runs.
+        nr = nw = 0
+        try:
+            while True:
+                if pend is not None:
+                    op = pend
+                    pend = None
+                elif i < n:
+                    op = mops[i]
+                    i += 1
+                else:
                     self._finish(t)
                     return
-            kind = op[0]
+                kind = op[0]
 
-            if kind == READ:
-                addr = op[1]
-                block = addr >> lsh
-                s = block & mask
-                stats.reads += 1
-                if tags[s] == block and states[s]:
-                    t += 1
-                    if vm is not None:
-                        vm.read_hit(my_id, block, (addr >> 3) & wmask)
-                elif wb_words is not None and block in wb_words:
-                    t += 1  # read bypasses / forwards from the write buffer
-                    if vm is not None:
-                        vm.read_wb(my_id, block, (addr >> 3) & wmask)
-                else:
-                    stats.read_misses += 1
-                    word = (addr >> 3) & wmask
-                    if obs is not None:
-                        obs.classify_miss(my_id, block, word, t)
-                    if vm is not None:
-                        vm.read_miss(my_id, block, word)
-                    self.block(t, B_READ)
-                    prot.cpu_read_miss(node, t, block)
-                    return
-
-            elif kind == WRITE:
-                addr = op[1]
-                block = addr >> lsh
-                s = block & mask
-                word = (addr >> 3) & wmask
-                if obs is not None:
-                    obs.record_write(my_id, block, word, t)
-                if tags[s] == block and states[s] == 2:
-                    wt = self._wt_words
-                    if wt is None:
-                        stats.writes += 1
-                        t += 1
+                # -- block spans ------------------------------------------------
+                if kind >= READ_SPAN:
+                    if kind == READ_SPAN:
+                        _, block, base, count, stride = op
+                        words = None
+                        j = 0
+                        mode = fresh
+                    elif kind != SPAN_CONT:
+                        _, block, base, count, stride, words = op
+                        j = 0
+                        mode = fresh
                     else:
-                        ws = wt.get(block)
-                        if ws is not None:
-                            ws.add(word)
-                            stats.writes += 1
-                            t += 1
+                        _, block, base, count, stride, words, j, kind, mode = op
+                        mode = mode or fresh
+                    s = block & mask
+                    while True:
+                        if not mode:
+                            # The one batched-tail block: fresh spans, tails
+                            # after a per-element step, resumed continuations.
+                            if words is None:
+                                batch = (tags[s] == block and states[s]) or (
+                                    wb_words is not None and block in wb_words
+                                )
+                            else:
+                                st = states[s] if tags[s] == block else 0
+                                if st == 2:
+                                    ws = wt.get(block) if wt is not None else None
+                                    batch = wt is None or ws is not None
+                                else:
+                                    ws = wb_words.get(block) if st in coalesce else None
+                                    batch = ws is not None
+                            if batch:
+                                left = deadline - t
+                                m = count - j
+                                if words is None:
+                                    if m > left:
+                                        m = left
+                                    nr += m
+                                    t += m
+                                else:
+                                    rw = kind == RW_SPAN
+                                    if rw:
+                                        left = (left + 1) >> 1
+                                    if m > left:
+                                        m = left
+                                    w = words[j : j + m]
+                                    if obs is not None:
+                                        obs.record_write_span(my_id, t + rw, block, w, 1 + rw)
+                                    if ws is not None:
+                                        ws.update(w)
+                                    nw += m
+                                    if rw:
+                                        nr += m
+                                        t += m
+                                    t += m
+                                j += m
+                                if j < count:
+                                    self._pending = (
+                                        SPAN_CONT, block, base, count, stride, words, j, kind,
+                                        BATCH,
+                                    )
+                                    sim.at(t, self.run_quantum)
+                                    return
+                                break
+                        # Element j alone: the per-element step.
+                        if words is not None:
+                            word = words[j]
                         else:
-                            t = prot.cpu_write(node, t, block, word)
-                            stats.writes += 1
-                    if vm is not None:
-                        vm.write(my_id, block, word)
-                else:
-                    nt = prot.cpu_write(node, t, block, word)
-                    if nt < 0:
-                        self._pending = op
-                        self.block(t, B_WB)
-                        return
-                    stats.writes += 1
-                    t = nt
-                    if vm is not None:
-                        vm.write(my_id, block, word)
+                            word = ((base + j * stride) >> 3) & wmask
+                        if kind != WRITE_SPAN and mode != WRITE_ONLY:
+                            nr += 1
+                            if tags[s] == block and states[s]:
+                                t += 1
+                                if vm is not None:
+                                    vm.read_hit(my_id, block, word)
+                            elif wb_words is not None and block in wb_words:
+                                t += 1  # read bypasses / forwards from the write buffer
+                                if vm is not None:
+                                    vm.read_wb(my_id, block, word)
+                            else:
+                                stats.read_misses += 1
+                                if obs is not None:
+                                    obs.classify_miss(my_id, block, word, t)
+                                if vm is not None:
+                                    vm.read_miss(my_id, block, word)
+                                if kind == RW_SPAN:
+                                    self._pending = (
+                                        SPAN_CONT, block, base, count, stride, words, j, kind,
+                                        WRITE_ONLY,
+                                    )
+                                elif j + 1 < count:
+                                    self._pending = (
+                                        SPAN_CONT, block, base, count, stride, words, j + 1, kind,
+                                        BATCH,
+                                    )
+                                self.block(t, B_READ)
+                                prot.cpu_read_miss(node, t, block)
+                                return
+                        mode = fresh
+                        if kind != READ_SPAN:
+                            if obs is not None:
+                                obs.record_write(my_id, block, word, t)
+                            if tags[s] == block and states[s] == 2 and (wt is None or block in wt):
+                                if wt is not None:
+                                    wt[block].add(word)
+                                t += 1
+                            else:
+                                nt = prot.cpu_write(node, t, block, word)
+                                if nt < 0:
+                                    self._pending = (
+                                        SPAN_CONT, block, base, count, stride, words, j, kind,
+                                        WRITE_ONLY if kind == RW_SPAN else BATCH,
+                                    )
+                                    self.block(t, B_WB)
+                                    return
+                                t = nt
+                            nw += 1
+                            if vm is not None:
+                                vm.write(my_id, block, word)
+                        j += 1
+                        if j == count:
+                            break
+                        if t >= deadline:
+                            self._pending = (
+                                SPAN_CONT, block, base, count, stride, words, j, kind, BATCH,
+                            )
+                            sim.at(t, self.run_quantum)
+                            return
 
-            elif kind == READ_RUN or kind == WRITE_RUN or kind == RW_RUN or kind == RW_RESUME:
-                if len(op) == 5:
-                    _, base, count, stride, i = op
-                else:
-                    _, base, count, stride = op
-                    i = 0
-                # RW_RESUME: continuation of an RW_RUN whose element i has
-                # already performed its read (the fill completed); do the
-                # write for element i, then behave as RW_RUN for the rest.
-                skip_read_once = kind == RW_RESUME
-                if skip_read_once:
-                    kind = RW_RUN
-                is_read = kind == READ_RUN
-                is_rw = kind == RW_RUN
-                addr = base + i * stride
-                while i < count:
+                # -- scalar ops ------------------------------------------------
+                elif kind == COMPUTE:
+                    c = op[1]
+                    if t + c <= deadline:
+                        t += c
+                    else:
+                        done_now = deadline - t
+                        self._pending = (COMPUTE, c - done_now)
+                        sim.at(deadline, self.run_quantum)
+                        return
+
+                elif kind == READ:
+                    addr = op[1]
+                    block = addr >> lsh
+                    s = block & mask
+                    nr += 1
+                    if tags[s] == block and states[s]:
+                        t += 1
+                        if vm is not None:
+                            vm.read_hit(my_id, block, (addr >> 3) & wmask)
+                    elif wb_words is not None and block in wb_words:
+                        t += 1  # read bypasses / forwards from the write buffer
+                        if vm is not None:
+                            vm.read_wb(my_id, block, (addr >> 3) & wmask)
+                    else:
+                        stats.read_misses += 1
+                        word = (addr >> 3) & wmask
+                        if obs is not None:
+                            obs.classify_miss(my_id, block, word, t)
+                        if vm is not None:
+                            vm.read_miss(my_id, block, word)
+                        self.block(t, B_READ)
+                        prot.cpu_read_miss(node, t, block)
+                        return
+
+                elif kind == WRITE:
+                    addr = op[1]
                     block = addr >> lsh
                     s = block & mask
                     word = (addr >> 3) & wmask
-                    if (is_read or is_rw) and not skip_read_once:
-                        stats.reads += 1
-                        if tags[s] == block and states[s]:
-                            t += 1
-                            if vm is not None:
-                                vm.read_hit(my_id, block, word)
-                        elif wb_words is not None and block in wb_words:
-                            t += 1
-                            if vm is not None:
-                                vm.read_wb(my_id, block, word)
-                        else:
-                            stats.read_misses += 1
-                            if obs is not None:
-                                obs.classify_miss(my_id, block, word, t)
-                            if vm is not None:
-                                vm.read_miss(my_id, block, word)
-                            # Resume after the fill: an RW element still
-                            # owes its write; a read element is complete.
-                            if is_rw:
-                                self._pending = (RW_RESUME, base, count, stride, i)
-                            else:
-                                self._pending = (kind, base, count, stride, i + 1)
-                            self.block(t, B_READ)
-                            prot.cpu_read_miss(node, t, block)
+                    if obs is not None:
+                        obs.record_write(my_id, block, word, t)
+                    if tags[s] == block and states[s] == 2 and (wt is None or block in wt):
+                        if wt is not None:
+                            wt[block].add(word)
+                        t += 1
+                    else:
+                        nt = prot.cpu_write(node, t, block, word)
+                        if nt < 0:
+                            self._pending = op
+                            self.block(t, B_WB)
                             return
-                    skip_read_once = False
-                    if not is_read:  # WRITE_RUN or RW_RUN: write this element
-                        if obs is not None:
-                            obs.record_write(my_id, block, word, t)
-                        if tags[s] == block and states[s] == 2:
-                            wt = self._wt_words
-                            if wt is None:
-                                stats.writes += 1
-                                t += 1
-                            else:
-                                ws = wt.get(block)
-                                if ws is not None:
-                                    ws.add(word)
-                                    stats.writes += 1
-                                    t += 1
-                                else:
-                                    t = prot.cpu_write(node, t, block, word)
-                                    stats.writes += 1
-                            if vm is not None:
-                                vm.write(my_id, block, word)
-                        else:
-                            nt = prot.cpu_write(node, t, block, word)
-                            if nt < 0:
-                                # Retry this element's write when woken; its
-                                # read (if any) already ran.
-                                self._pending = (
-                                    (RW_RESUME if is_rw else kind),
-                                    base,
-                                    count,
-                                    stride,
-                                    i,
-                                )
-                                self.block(t, B_WB)
-                                return
-                            stats.writes += 1
-                            t = nt
-                            if vm is not None:
-                                vm.write(my_id, block, word)
-                    i += 1
-                    addr += stride
-                    if t >= deadline and i < count:
-                        self._pending = (kind, base, count, stride, i)
-                        sim.at(t, self.run_quantum)
-                        return
+                        t = nt
+                    nw += 1
+                    if vm is not None:
+                        vm.write(my_id, block, word)
 
-            elif kind == COMPUTE:
-                c = op[1]
-                if t + c <= deadline:
-                    t += c
-                else:
-                    done_now = deadline - t
-                    self._pending = (COMPUTE, c - done_now)
-                    sim.at(deadline, self.run_quantum)
+                elif kind == ACQUIRE:
+                    stats.acquires += 1
+                    self.block(t, B_SYNC)
+                    prot.cpu_acquire(node, t, op[1])
                     return
 
-            elif kind == ACQUIRE:
-                stats.acquires += 1
-                self.block(t, B_SYNC)
-                prot.cpu_acquire(node, t, op[1])
-                return
+                elif kind == RELEASE:
+                    stats.releases += 1
+                    self.block(t, B_SYNC)
+                    prot.cpu_release(node, t, op[1])
+                    return
 
-            elif kind == RELEASE:
-                stats.releases += 1
-                self.block(t, B_SYNC)
-                prot.cpu_release(node, t, op[1])
-                return
+                elif kind == BARRIER:
+                    stats.barriers += 1
+                    self.block(t, B_SYNC)
+                    prot.cpu_barrier(node, t, op[1])
+                    return
 
-            elif kind == BARRIER:
-                stats.barriers += 1
-                self.block(t, B_SYNC)
-                prot.cpu_barrier(node, t, op[1])
-                return
+                elif kind == FENCE:
+                    self.block(t, B_SYNC)
+                    prot.cpu_fence(node, t)
+                    return
 
-            elif kind == FENCE:
-                self.block(t, B_SYNC)
-                prot.cpu_fence(node, t)
-                return
+                elif kind == SET_FLAG:
+                    stats.releases += 1
+                    self.block(t, B_SYNC)
+                    prot.cpu_set_flag(node, t, op[1])
+                    return
 
-            elif kind == SET_FLAG:
-                stats.releases += 1
-                self.block(t, B_SYNC)
-                prot.cpu_set_flag(node, t, op[1])
-                return
+                elif kind == WAIT_FLAG:
+                    stats.acquires += 1
+                    self.block(t, B_SYNC)
+                    prot.cpu_wait_flag(node, t, op[1])
+                    return
 
-            elif kind == WAIT_FLAG:
-                stats.acquires += 1
-                self.block(t, B_SYNC)
-                prot.cpu_wait_flag(node, t, op[1])
-                return
+                else:
+                    raise ValueError(f"unknown opcode {kind!r}")
 
-            else:
-                raise ValueError(f"unknown opcode {kind!r}")
+                if t >= deadline:
+                    self._pending = None
+                    sim.at(t, self.run_quantum)
+                    return
 
-            if t >= deadline:
-                self._pending = None
-                sim.at(t, self.run_quantum)
-                return
+        finally:
+            self._i = i
+            stats.reads += nr
+            stats.writes += nw

@@ -18,13 +18,11 @@ executor, :func:`run_spec`:
   functions below then render from memory.
 
 :func:`run_experiment` remains as a thin keyword-argument wrapper that
-builds a spec; the old process-local ``_CACHE`` dict is deprecated —
-use :func:`run_spec` / :func:`clear_cache`.
+builds a spec.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
@@ -41,23 +39,10 @@ from repro.harness.spec import ExperimentSpec
 from repro.results.store import ResultStore, default_store
 from repro.stats.classification import CATEGORIES
 
-#: In-process memo: spec -> result.  (The deprecated ``_CACHE`` name
-#: still resolves to this dict, with a warning — see ``__getattr__``.)
+#: In-process memo: spec -> result.
 _MEMO: Dict[ExperimentSpec, RunResult] = {}
 
 _UNSET = object()
-
-
-def __getattr__(name):
-    if name == "_CACHE":
-        warnings.warn(
-            "repro.harness.experiments._CACHE is deprecated; use run_spec()/"
-            "clear_cache() and the ExperimentSpec API instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _MEMO
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def clear_cache() -> None:
@@ -65,16 +50,12 @@ def clear_cache() -> None:
     _MEMO.clear()
 
 
-def run_spec(spec: ExperimentSpec, store=_UNSET, engine: Optional[str] = None) -> RunResult:
+def run_spec(spec: ExperimentSpec, store=_UNSET) -> RunResult:
     """Run (or fetch from memo / store) one experiment spec.
 
     ``store`` defaults to the process-wide store (active only when
     ``REPRO_RESULTS_DIR`` is set); pass ``None`` to force disk off or a
     :class:`ResultStore` to use a specific directory.
-
-    ``engine`` selects the execution engine (``"replay"`` /
-    ``"generator"``, see :data:`repro.harness.spec.ENGINES`); it never
-    affects the numbers, so memo and store entries are engine-agnostic.
     """
     hit = _MEMO.get(spec)
     if hit is not None:
@@ -83,7 +64,7 @@ def run_spec(spec: ExperimentSpec, store=_UNSET, engine: Optional[str] = None) -
         store = default_store()
     result = store.load(spec) if store is not None else None
     if result is None:
-        result = spec.run(engine=engine)
+        result = spec.run()
         if store is not None:
             store.save(spec, result)
     _MEMO[spec] = result
@@ -98,7 +79,6 @@ def run_experiment(
     classify: bool = False,
     small: bool = False,
     check_invariants: bool = False,
-    engine: Optional[str] = None,
     **config_over,
 ) -> RunResult:
     """Back-compat wrapper: build an :class:`ExperimentSpec` and run it.
@@ -116,7 +96,7 @@ def run_experiment(
         overrides=config_over,
         check_invariants=check_invariants,
     )
-    return run_spec(spec, engine=engine)
+    return run_spec(spec)
 
 
 def prefetch(

@@ -154,13 +154,10 @@ def _worker(spec_dict: dict, store_root: str) -> None:
     spec = ExperimentSpec.from_dict(spec_dict)
     store = ResultStore(store_root)
     try:
-        from repro.harness.spec import resolve_engine
-
-        if resolve_engine() == "replay":
-            # Warm the recorded stream through the pool's shared store,
-            # so a sweep pays each app's record phase once across all
-            # workers instead of once per worker process.
-            spec.recorded_stream(store=store)
+        # Warm the recorded stream through the pool's shared store, so a
+        # sweep pays each app's record phase once across all workers
+        # instead of once per worker process.
+        spec.recorded_stream(store=store)
         result = spec.run()
     except Exception as exc:
         store.save_failure(spec, RunFailure.from_exception(spec, exc))

@@ -33,32 +33,6 @@ SPEC_VERSION = 3
 
 MACHINE_KINDS = ("default", "future")
 
-#: Execution engines a spec can run under.  ``"replay"`` (the default)
-#: records the app's reference streams once — content-addressed and
-#: cached in the result store — and drives the protocols from packed
-#: arrays; ``"generator"`` resumes the app's Python generators per
-#: reference, kept for differential testing.  Both produce bit-identical
-#: :class:`RunResult` numbers (held to by ``tests/test_replay.py``), so
-#: the engine choice is *transient*: it is not a spec field and never
-#: enters the fingerprint.  ``REPRO_ENGINE`` in the environment selects
-#: the process-wide default.
-ENGINES = ("replay", "generator")
-ENV_ENGINE = "REPRO_ENGINE"
-
-
-def resolve_engine(engine=None) -> str:
-    """The engine to use: explicit argument, else ``REPRO_ENGINE``, else
-    ``"replay"``."""
-    import os
-
-    engine = engine or os.environ.get(ENV_ENGINE) or "replay"
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r} (expected one of {ENGINES})"
-        )
-    return engine
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One (app, protocol, machine) simulation, fully specified.
@@ -284,45 +258,26 @@ class ExperimentSpec:
             self.app, self.app_params(), self.config(), store=store
         )
 
-    def run(self, engine: Optional[str] = None):
+    def run(self):
         """Execute this spec on a fresh machine (no result caching).
 
         Pure: equal specs produce bit-identical :class:`RunResult`
-        numbers under either engine (the invariant checker and value
-        model, when enabled, only observe; the replay engine is held
-        bit-identical to the generator engine by the differential
-        suite).  Callers wanting memoization go through
+        numbers (the invariant checker and value model, when enabled,
+        only observe).  The recorded stream comes from the in-process
+        memo or the default store when either has it.  Callers wanting
+        result memoization go through
         :func:`repro.harness.experiments.run_spec`.
         """
-        engine = resolve_engine(engine)
+        from repro.results.store import default_store
+
         mc = self.machine_config()
         machine = mc.build()
-        if engine == "replay":
-            from repro.results.store import default_store
-
-            stream = self.recorded_stream(store=default_store())
-            result = machine.replay(stream)
-            if mc.value_model:
-                from repro.apps import APPS
-                from repro.apps.common import AppContext
-                from repro.conformance.fuzz import verify_run
-
-                app = APPS[self.app](
-                    AppContext(mc.config), **self.app_params()
-                )
-                verify_run(machine, app)
-            return result
-        from repro.apps import APPS
-        from repro.apps.common import AppContext
-
-        app = APPS[self.app](
-            AppContext.for_machine(machine), **self.app_params()
-        )
-        result = machine.run(
-            [app.program(p) for p in range(mc.config.n_procs)]
-        )
+        result = machine.replay(self.recorded_stream(store=default_store()))
         if mc.value_model:
+            from repro.apps import APPS
+            from repro.apps.common import AppContext
             from repro.conformance.fuzz import verify_run
 
+            app = APPS[self.app](AppContext(mc.config), **self.app_params())
             verify_run(machine, app)
         return result

@@ -1,8 +1,8 @@
 """Reference-stream op encoding.
 
 Programs yield plain tuples whose first element is one of the integer
-opcodes below.  Tuples (not objects) keep the processor's dispatch loop
-allocation-free on the hot path.
+opcodes below; a program's tuples are packed into a recorded stream's
+columns and compiled before any of them runs.
 
 Scalar ops::
 
@@ -14,7 +14,7 @@ Scalar ops::
     (BARRIER, barrier_id)     global barrier (release + acquire semantics)
     (FENCE,)                  release + acquire semantics without a lock
 
-Run ops (amortize generator overhead over regular loops)::
+Run ops (one tuple for a whole regular loop)::
 
     (READ_RUN, base, count, stride)    read count words at base + i*stride
     (WRITE_RUN, base, count, stride)   write count words
@@ -27,9 +27,6 @@ READ_RUN = 2
 WRITE_RUN = 3
 RW_RUN = 4
 COMPUTE = 5
-#: Internal continuation opcode: an RW_RUN element whose read completed
-#: (miss fill) but whose write is still owed.  Never yielded by programs.
-RW_RESUME = 10
 #: Pairwise (producer/consumer) synchronization: SET_FLAG has release
 #: semantics (prior writes perform first), WAIT_FLAG has acquire
 #: semantics (pending invalidations are processed on the way out).
@@ -41,8 +38,7 @@ BARRIER = 8
 FENCE = 9
 
 #: Scalar opcodes an application may yield, mapped to tuple arity
-#: (opcode included).  ``RW_RESUME`` is deliberately absent: it is an
-#: internal continuation form, never part of a recordable stream.
+#: (opcode included).
 SCALAR_ARITY = {
     READ: 2,
     WRITE: 2,
@@ -69,7 +65,6 @@ _NAMES = {
     RELEASE: "RELEASE",
     BARRIER: "BARRIER",
     FENCE: "FENCE",
-    RW_RESUME: "RW_RESUME",
     SET_FLAG: "SET_FLAG",
     WAIT_FLAG: "WAIT_FLAG",
 }

@@ -30,8 +30,11 @@ Streams are content-addressed two ways:
   and re-checked on load, so a corrupt or stale cache entry reads as a
   miss, never as a wrong replay.
 
-The replay side — slot-based per-processor cursors feeding
-``core.machine``'s run loop — lives in :mod:`repro.engine.replay`.
+The replay side compiles a stream into per-processor micro-programs
+(:mod:`repro.engine.replay`) that each node's
+:class:`~repro.core.processor.Processor` walks with an integer cursor.
+Hand-written programs passed to :meth:`repro.core.machine.Machine.run`
+are packed by the same :func:`pack_programs` and take the same path.
 """
 
 from __future__ import annotations
@@ -59,6 +62,41 @@ STREAM_VERSION = 1
 STREAM_CONFIG_FIELDS = ("n_procs", "line_size", "page_size", "word_size", "seed")
 
 _RUN_SET = frozenset(RUN_OPS)
+
+
+def pack_programs(programs, source: str) -> Tuple[list, list, list, list, list]:
+    """Pack one iterable of op tuples per processor into the stream
+    columns ``(op, a, b, c, starts)``.
+
+    Raises ``ValueError`` on an op a stream cannot hold (an unknown
+    opcode or a wrong arity); ``source`` names the programs' origin in
+    that message.
+    """
+    ops: List[int] = []
+    av: List[int] = []
+    bv: List[int] = []
+    cv: List[int] = []
+    starts = [0]
+    for program in programs:
+        for tup in program:
+            kind = tup[0]
+            if kind in _RUN_SET:
+                if len(tup) != 4:
+                    raise ValueError(f"malformed run op from {source!r}: {tup!r}")
+                ops.append(kind)
+                av.append(tup[1])
+                bv.append(tup[2])
+                cv.append(tup[3])
+            else:
+                arity = SCALAR_ARITY.get(kind)
+                if arity is None or len(tup) != arity:
+                    raise ValueError(f"unrecordable op from {source!r}: {tup!r}")
+                ops.append(kind)
+                av.append(tup[1] if arity == 2 else 0)
+                bv.append(0)
+                cv.append(0)
+        starts.append(len(ops))
+    return ops, av, bv, cv, starts
 
 
 class RecordedStream:
@@ -124,37 +162,11 @@ class RecordedStream:
         """
         global RECORDINGS
         RECORDINGS += 1
-        n_procs = app.n_procs
-        ops: List[int] = []
-        av: List[int] = []
-        bv: List[int] = []
-        cv: List[int] = []
-        starts = [0]
-        for pid in range(n_procs):
-            for tup in app.program(pid):
-                kind = tup[0]
-                if kind in _RUN_SET:
-                    if len(tup) != 4:
-                        raise ValueError(
-                            f"malformed run op from {app.name!r}: {tup!r}"
-                        )
-                    ops.append(kind)
-                    av.append(tup[1])
-                    bv.append(tup[2])
-                    cv.append(tup[3])
-                else:
-                    arity = SCALAR_ARITY.get(kind)
-                    if arity is None or len(tup) != arity:
-                        raise ValueError(
-                            f"unrecordable op from {app.name!r}: {tup!r}"
-                        )
-                    ops.append(kind)
-                    av.append(tup[1] if arity == 2 else 0)
-                    bv.append(0)
-                    cv.append(0)
-            starts.append(len(ops))
+        columns = pack_programs(
+            (app.program(pid) for pid in range(app.n_procs)), app.name
+        )
         meta = {f: getattr(app.cfg, f) for f in STREAM_CONFIG_FIELDS}
-        return cls(ops, av, bv, cv, starts, app.ctx.alloc_log, meta)
+        return cls(*columns, app.space.alloc_log, meta)
 
     # -- identity / persistence -------------------------------------------------
 

@@ -36,9 +36,6 @@ REGISTRY = {
     "tardis": TardisProtocol,
 }
 
-#: Back-compat alias (same dict object; tests monkeypatch entries into it).
-PROTOCOLS = REGISTRY
-
 
 def all_names() -> Tuple[str, ...]:
     """Every registered protocol name, in canonical sweep order."""
@@ -64,7 +61,6 @@ __all__ = [
     "LRCExtProtocol",
     "TardisProtocol",
     "REGISTRY",
-    "PROTOCOLS",
     "all_names",
     "make_protocol",
 ]

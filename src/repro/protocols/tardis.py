@@ -43,9 +43,9 @@ Tardis 2.0's relaxed mode onto the paper's release/acquire structure:
 
 Because leases are checked only at sync points, cache state never
 changes between two hits of one scheduling quantum, which is precisely
-the property the replay engine's span fast path relies on — lease
-expiry is bit-identical between the generator and replay engines for
-the same reason LRC's acquire-time invalidations are.
+the property the CPU's batched span path relies on — lease expiry is
+bit-identical between batched and per-element runs for the same reason
+LRC's acquire-time invalidations are.
 """
 
 from __future__ import annotations

@@ -61,7 +61,6 @@ def run_scenario(
     n_procs: Optional[int] = None,
     check_invariants: bool = False,
     store=_UNSET,
-    engine: Optional[str] = None,
     progress=None,
     journal=None,
 ) -> Dict[str, Any]:
@@ -106,7 +105,7 @@ def run_scenario(
         if journal is not None:
             journal.start(proto)
         try:
-            result = run_spec(spec, store=store, engine=engine)
+            result = run_spec(spec, store=store)
         except Exception as exc:  # record, keep sweeping
             failure = RunFailure.from_exception(spec, exc)
             if store is not None:

@@ -170,6 +170,7 @@ class InvariantChecker:
         """Check every invariant that must hold between any two events."""
         self.checks_run += 1
         n = self.machine.config.n_procs
+        tardis = self.machine.protocol.timestamp_coherence
         for node in self.machine.nodes:
             if node.out_count < 0:
                 self._fail(node.id, f"node {node.id}: negative out_count {node.out_count}")
@@ -188,7 +189,7 @@ class InvariantChecker:
                     self._check_tardis_entry(node.id, block, entry)
                 else:
                     self._check_msi_entry(node.id, block, entry, n)
-            if self.machine.protocol.timestamp_coherence:
+            if tardis:
                 self._check_tardis_node(node)
 
     def _check_buffer(self, node_id: int, buf, what: str) -> None:
@@ -260,15 +261,27 @@ class InvariantChecker:
                 f"({last} -> {node.pts})",
             )
         self._last_pts[node.id] = node.pts
-        resident = set(node.cache.resident_blocks())
-        leased = set(node.ts_lease)
-        if resident != leased:
-            self._fail(
-                node.id,
-                f"node {node.id}: lease table disagrees with cache residency "
-                f"(unleased resident={sorted(resident - leased)[:8]}, "
-                f"leased absent={sorted(leased - resident)[:8]})",
-            )
+        # Leases and valid lines are equal sets when every leased block
+        # is resident in its own set and the counts agree: a loop over the
+        # leases plus one C-level count, not a rebuilt resident set.
+        cache = node.cache
+        tags, states, mask = cache.tags, cache.states, cache.set_mask
+        leases = node.ts_lease
+        if len(leases) == len(states) - states.count(INVALID):
+            for b in leases:
+                s = b & mask
+                if tags[s] != b or not states[s]:
+                    break
+            else:
+                return
+        resident = set(cache.resident_blocks())
+        leased = set(leases)
+        self._fail(
+            node.id,
+            f"node {node.id}: lease table disagrees with cache residency "
+            f"(unleased resident={sorted(resident - leased)[:8]}, "
+            f"leased absent={sorted(leased - resident)[:8]})",
+        )
 
     def _check_msi_entry(self, home: int, block: int, e: MSIEntry, n: int) -> None:
         if (e.state == DIRTY) != (e.owner is not None):

@@ -1,8 +1,6 @@
-"""Tests for the public convenience API (build_machine / run_app / simulate),
-in particular run_app's validation of protocol and classify against the
-app's pre-built machine."""
-
-import pytest
+"""Tests for the public convenience API (build_machine / run_app / simulate):
+``protocol`` and ``classify`` configure the machine a context-built app
+runs on."""
 
 from repro import SystemConfig, build_machine, run_app, simulate
 from repro.apps import AppContext, Gauss
@@ -22,32 +20,18 @@ class TestBuildMachine:
 
 class TestRunApp:
     def test_runs_on_the_apps_machine(self):
-        app = Gauss(AppContext.for_machine(build_machine(cfg(), protocol="lrc")), n=8)
-        r = run_app(app)
+        # A context-built app runs on a fresh machine of its own config,
+        # lrc and unclassified unless told otherwise.
+        r = run_app(Gauss(AppContext(cfg()), n=8))
         assert r.exec_time > 0 and r.protocol == "lrc"
+        assert r.config == cfg() and r.classifier is None
 
     def test_protocol_assertion_matches(self):
-        app = Gauss(AppContext.for_machine(build_machine(cfg(), protocol="erc")), n=8)
+        app = Gauss(AppContext(cfg()), n=8)
         assert run_app(app, protocol="erc").protocol == "erc"
 
-    def test_protocol_mismatch_raises(self):
-        app = Gauss(AppContext.for_machine(build_machine(cfg(), protocol="erc")), n=8)
-        with pytest.raises(ValueError, match="'erc', not 'lrc'"):
-            run_app(app, protocol="lrc")
-
-    def test_classify_true_without_classifier_raises(self):
-        app = Gauss(AppContext.for_machine(build_machine(cfg(), protocol="lrc")), n=8)
-        with pytest.raises(ValueError, match="classify"):
-            run_app(app, classify=True)
-
-    def test_classify_false_with_classifier_raises(self):
-        app = Gauss(AppContext.for_machine(build_machine(cfg(), protocol="lrc", classify=True)), n=8)
-        with pytest.raises(ValueError, match="classify"):
-            run_app(app, classify=False)
-
     def test_classify_assertion_propagates(self):
-        app = Gauss(AppContext.for_machine(build_machine(cfg(), protocol="lrc", classify=True)), n=8)
-        r = run_app(app, classify=True)
+        r = run_app(Gauss(AppContext(cfg()), n=8), classify=True)
         assert r.classifier is not None
         assert r.classifier.total > 0
 

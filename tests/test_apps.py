@@ -6,6 +6,7 @@ from repro import Machine, SystemConfig
 from repro.apps import APPS, AppContext, BarnesHut, BlockedLU, Cholesky, FFT, Gauss, LocusRoute, MP3D
 from repro.apps.barnes import _Quadtree
 from repro.apps.mp3d_quality import quality_divergence, run_quality_model
+from repro.program.stream import RecordedStream
 
 import numpy as np
 
@@ -34,8 +35,8 @@ def ctx(n=4, **kw):
 def run_app(name, n=4, proto="lrc", **params):
     m = machine(n, proto)
     p = dict(TINY[name]); p.update(params)
-    app = APPS[name](AppContext.for_machine(m), **p)
-    return m.run([app.program(i) for i in range(n)]), m
+    app = APPS[name](AppContext(m.config), **p)
+    return m.replay(RecordedStream.record(app)), m
 
 
 class TestRegistry:
@@ -75,8 +76,8 @@ class TestGauss:
     def test_reference_volume_scales_as_n_cubed(self):
         small, _ = run_app("gauss", n=2, proto="lrc")
         big_m = machine(2)
-        app = Gauss(AppContext.for_machine(big_m), n=48)
-        big = big_m.run([app.program(i) for i in range(2)])
+        app = Gauss(AppContext(big_m.config), n=48)
+        big = big_m.replay(RecordedStream.record(app))
         ratio = big.stats.references / small.stats.references
         assert 6 < ratio < 11  # (48/24)^3 = 8
 

@@ -98,10 +98,10 @@ def test_trace_jsonl_export(tmp_path, capsys):
 
 
 def test_trace_violation_prints_window(tmp_path, capsys, monkeypatch):
-    from repro.protocols import PROTOCOLS
+    from repro.protocols import REGISTRY
     from tests.test_trace import BrokenReleaseLRC
 
-    monkeypatch.setitem(PROTOCOLS, BrokenReleaseLRC.name, BrokenReleaseLRC)
+    monkeypatch.setitem(REGISTRY, BrokenReleaseLRC.name, BrokenReleaseLRC)
     assert main(["trace", "gauss", "--protocol", BrokenReleaseLRC.name,
                  "--procs", "2", "--small", "--window", "5"]) == 1
     err = capsys.readouterr().err
@@ -136,10 +136,10 @@ def test_fuzz_broken_protocol_report_and_replay(tmp_path, capsys, monkeypatch):
     import json
 
     from repro.conformance import ProgramSpec
-    from repro.protocols import PROTOCOLS
+    from repro.protocols import REGISTRY
     from tests.test_trace import BrokenReleaseLRC
 
-    monkeypatch.setitem(PROTOCOLS, BrokenReleaseLRC.name, BrokenReleaseLRC)
+    monkeypatch.setitem(REGISTRY, BrokenReleaseLRC.name, BrokenReleaseLRC)
     out_file = tmp_path / "fuzz.json"
     assert main(["fuzz", "--seed", "0", "--iters", "1", "--procs", "4",
                  "--n-ops", "40", "--protocols", BrokenReleaseLRC.name,
@@ -161,10 +161,10 @@ def test_fuzz_broken_protocol_report_and_replay(tmp_path, capsys, monkeypatch):
 def test_fuzz_no_minimize_skips_minimization(tmp_path, capsys, monkeypatch):
     import json
 
-    from repro.protocols import PROTOCOLS
+    from repro.protocols import REGISTRY
     from tests.test_trace import BrokenReleaseLRC
 
-    monkeypatch.setitem(PROTOCOLS, BrokenReleaseLRC.name, BrokenReleaseLRC)
+    monkeypatch.setitem(REGISTRY, BrokenReleaseLRC.name, BrokenReleaseLRC)
     out_file = tmp_path / "fuzz.json"
     assert main(["fuzz", "--seed", "0", "--iters", "1", "--procs", "4",
                  "--n-ops", "40", "--protocols", BrokenReleaseLRC.name,

@@ -19,7 +19,7 @@ from repro.conformance import (
 from repro.conformance.fuzz import make_fail_predicate, replay_reproducer, write_reproducers
 from repro.conformance.oracle import token, token_str
 from repro.program.ops import BARRIER, READ, WRITE, WRITE_RUN
-from repro.protocols import PROTOCOLS
+from repro.protocols import REGISTRY
 
 from tests.test_trace import BrokenAcquireLRC, BrokenReleaseLRC
 
@@ -175,7 +175,7 @@ class TestRunOne:
         assert fails == []
 
     def test_broken_release_caught(self, monkeypatch):
-        monkeypatch.setitem(PROTOCOLS, BrokenReleaseLRC.name, BrokenReleaseLRC)
+        monkeypatch.setitem(REGISTRY, BrokenReleaseLRC.name, BrokenReleaseLRC)
         spec = generate(0, 4, n_ops=40)
         failure = run_one(spec, BrokenReleaseLRC.name)
         assert failure is not None
@@ -184,7 +184,7 @@ class TestRunOne:
         assert "release fired" in message
 
     def test_broken_acquire_caught(self, monkeypatch):
-        monkeypatch.setitem(PROTOCOLS, BrokenAcquireLRC.name, BrokenAcquireLRC)
+        monkeypatch.setitem(REGISTRY, BrokenAcquireLRC.name, BrokenAcquireLRC)
         # Migratory sharing leans hardest on acquire-time invalidations.
         for seed in range(5):
             spec = generate(seed, 4, n_ops=60, mode="migratory")
@@ -200,7 +200,7 @@ class TestFuzzRunCampaign:
         assert summary["failures"] == []
 
     def test_broken_protocol_minimized_reproducer(self, monkeypatch, tmp_path):
-        monkeypatch.setitem(PROTOCOLS, BrokenReleaseLRC.name, BrokenReleaseLRC)
+        monkeypatch.setitem(REGISTRY, BrokenReleaseLRC.name, BrokenReleaseLRC)
         summary = fuzz_run(
             seed=0, iters=1, n_procs=4, n_ops=40,
             protocols=(BrokenReleaseLRC.name,),
@@ -220,7 +220,7 @@ class TestFuzzRunCampaign:
         write_reproducers(summary, str(out))
         assert json.loads(out.read_text())["failures"][0]["seed"] == 0
         assert replay_reproducer(str(out)) == 1  # still failing
-        monkeypatch.delitem(PROTOCOLS, BrokenReleaseLRC.name)
+        monkeypatch.delitem(REGISTRY, BrokenReleaseLRC.name)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +257,7 @@ class TestMinimize:
             minimize(spec, lambda s: False)
 
     def test_candidates_keep_closing_barrier(self, monkeypatch):
-        monkeypatch.setitem(PROTOCOLS, BrokenReleaseLRC.name, BrokenReleaseLRC)
+        monkeypatch.setitem(REGISTRY, BrokenReleaseLRC.name, BrokenReleaseLRC)
         spec = generate(0, 4, n_ops=40)
         small = minimize(spec, make_fail_predicate(BrokenReleaseLRC.name))
         last = small.units[-1]

@@ -287,12 +287,13 @@ class TestStallWatchdog:
         )
         cfg = spec.config()
         from repro.apps import APPS, AppContext
+        from repro.program.stream import RecordedStream
 
         machine = Machine(cfg, protocol="lrc", faults=spec.faults,
                           stall_cycles=200_000)
-        app = APPS["mp3d"](AppContext.for_machine(machine), **spec.app_params())
+        app = APPS["mp3d"](AppContext(cfg), **spec.app_params())
         with pytest.raises(SimulationStall):
-            machine.run([app.program(p) for p in range(cfg.n_procs)])
+            machine.replay(RecordedStream.record(app))
 
 
 class TestFaultPhases:

@@ -12,7 +12,7 @@ class TestOps:
         codes = [
             ops.READ, ops.WRITE, ops.READ_RUN, ops.WRITE_RUN, ops.RW_RUN,
             ops.COMPUTE, ops.ACQUIRE, ops.RELEASE, ops.BARRIER, ops.FENCE,
-            ops.RW_RESUME, ops.SET_FLAG, ops.WAIT_FLAG,
+            ops.SET_FLAG, ops.WAIT_FLAG,
         ]
         assert len(set(codes)) == len(codes)
 

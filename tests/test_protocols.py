@@ -609,9 +609,8 @@ class TestWriteBufferCoalescing:
 
 class TestProtocolRegistry:
     def test_registry_is_the_single_name_table(self):
-        from repro.protocols import PROTOCOLS, REGISTRY, all_names
+        from repro.protocols import REGISTRY, all_names
 
-        assert PROTOCOLS is REGISTRY
         assert all_names() == ("sc", "erc", "lrc", "lrc-ext", "tardis")
         for name, cls in REGISTRY.items():
             assert cls.name == name

@@ -5,17 +5,18 @@ Four layers:
 * **compile** — ``compile_stream`` produces exactly the micro-programs of
   a per-element reference compiler, on all ten non-fuzz apps and on
   arbitrary single-run streams (hypothesis);
-* **differential** — the replay engine must be bit-identical to the
-  legacy generator engine: same ``RunResult.to_dict()`` across all five
-  protocols × the seven seed apps, with and without the miss
-  classifier, the invariant checker, and the value model;
+* **differential** — batched span retirement must be unobservable: a
+  run must give the same ``RunResult.to_dict()`` as the same stream run
+  with a value model attached, which makes the processor retire every
+  span element by element and checks every read's value, across all
+  five protocols × all ten apps with the miss classifier, and with the
+  invariant checker on the service apps;
 * **stream cache** — a protocol sweep records each app exactly once
   (in-process memo), and a second sweep against the same on-disk store
   performs zero record phases; streams round-trip through their
   serialized form and corrupt blobs degrade to cache misses;
-* **API** — the redesigned App→Stream surface: ``AppContext``
-  construction, the one-release ``App(machine, ...)`` shim, the unified
-  ``run_app`` shapes, ``MachineConfig``, and engine selection.
+* **API** — the App→Stream surface: ``AppContext`` construction, the
+  two ``run_app`` shapes and ``MachineConfig``.
 """
 
 import numpy as np
@@ -24,10 +25,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro import SystemConfig
 from repro.apps import APPS, AppContext, Gauss
-from repro.core import MachineConfig, build_machine, run_app, simulate
+from repro.conformance.shadow import ValueModel
+from repro.core import MachineConfig, run_app, simulate
 from repro.engine.replay import READ_SPAN, RW_SPAN, WRITE_SPAN, compile_stream
-from repro.harness.spec import ENGINES, ENV_ENGINE, ExperimentSpec, resolve_engine
-from repro.program.ops import FENCE, READ_RUN, RW_RUN, WRITE_RUN
+from repro.harness.spec import ExperimentSpec
+from repro.program.ops import FENCE, READ, READ_RUN, RW_RUN, WRITE, WRITE_RUN
 from repro.program import stream as stream_mod
 from repro.program.stream import RecordedStream, clear_stream_cache
 from repro.results.store import ResultStore
@@ -46,78 +48,131 @@ def small_spec(app, proto, **kw):
     return ExperimentSpec(app, proto, n_procs=4, small=True, **kw)
 
 
+class PermissiveValueModel(ValueModel):
+    """A value model that lets read-value mismatches pass.
+
+    The SPLASH and service apps race by design, which release
+    consistency permits, so only the fuzz workload's data-race-free
+    programs make a mismatch a bug.  Here the model is attached for its
+    other effect: with any value model the CPU retires every span
+    element alone.
+    """
+
+    __slots__ = ()
+
+    def _fail(self, *args) -> None:
+        pass
+
+
+def references(stream):
+    """Per-processor ``(reads, writes)`` of the stream's programs.  Each
+    element retires exactly once, so this is an oracle that shares no
+    code with the CPU."""
+    out = []
+    for pid in range(stream.n_procs):
+        sl = stream.proc_slice(pid)
+        op, count = stream.op[sl], stream.b[sl]
+        reads = (op == READ).sum() + count[np.isin(op, (READ_RUN, RW_RUN))].sum()
+        writes = (op == WRITE).sum() + count[np.isin(op, (WRITE_RUN, RW_RUN))].sum()
+        out.append((int(reads), int(writes)))
+    return out
+
+
+def per_element(mc, stream):
+    """``stream`` replayed with a value model attached, so every span
+    element retires alone and every read's value is observed."""
+    machine = mc.build()
+    machine.valmodel = PermissiveValueModel(machine)
+    result = machine.replay(stream)
+    assert machine.valmodel.checked_reads > 0
+    return result
+
+
+def batched_and_per_element(spec):
+    """``spec``'s result dicts, batched and per-element, after checking
+    the batched run's reference counts against the stream."""
+    stream = spec.recorded_stream()
+    batched = spec.run()
+    assert [(p.reads, p.writes) for p in batched.stats.procs] == references(stream)
+    return batched.to_dict(), per_element(spec.machine_config(), stream).to_dict()
+
+
 class TestDifferential:
     @pytest.mark.parametrize("app", SEED_APPS)
     def test_engines_bit_identical_across_protocols(self, app):
         for proto in PROTOCOLS:
-            spec = small_spec(app, proto)
-            gen = spec.run(engine="generator").to_dict()
-            rep = spec.run(engine="replay").to_dict()
-            assert gen == rep, f"{app}/{proto} diverged"
+            batched, element = batched_and_per_element(
+                small_spec(app, proto, classify=True)
+            )
+            assert batched == element, f"{app}/{proto} diverged"
 
     @pytest.mark.parametrize("app", SERVICE_APPS)
     def test_service_apps_engines_bit_identical_checked(self, app, monkeypatch):
         # The service workloads ride the same differential guarantee as
         # the SPLASH seven, with the invariant checker observing both
-        # engines.
+        # runs.
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
         for proto in PROTOCOLS:
-            spec = small_spec(app, proto)
-            gen = spec.run(engine="generator").to_dict()
-            rep = spec.run(engine="replay").to_dict()
-            assert gen == rep, f"{app}/{proto} diverged"
+            batched, element = batched_and_per_element(
+                small_spec(app, proto, classify=True)
+            )
+            assert batched == element, f"{app}/{proto} diverged"
 
     def test_engines_bit_identical_on_warm_bench_config(self):
-        # The hit-dominated configuration BENCH_engine.json headlines:
-        # wide lines and a long quantum exercise the span deadline-split
-        # arithmetic hardest.
+        # The hit-dominated splash-warm shape: wide lines and a long
+        # quantum exercise the span deadline-split arithmetic hardest.
         over = (("cache_size", 1 << 20), ("line_size", 512), ("quantum", 8000))
         for proto in ("sc", "lrc"):
-            spec = small_spec("gauss", proto, overrides=over)
-            gen = spec.run(engine="generator").to_dict()
-            rep = spec.run(engine="replay").to_dict()
-            assert gen == rep
+            batched, element = batched_and_per_element(
+                small_spec("gauss", proto, overrides=over)
+            )
+            assert batched == element
 
     def test_engines_bit_identical_with_classifier(self):
-        spec = small_spec("gauss", "lrc", classify=True)
-        gen = spec.run(engine="generator").to_dict()
-        rep = spec.run(engine="replay").to_dict()
-        assert gen == rep
+        # Batched writes reach the classifier as span records; per-element
+        # runs log each write alone.  The counts must agree.
+        batched, element = batched_and_per_element(
+            small_spec("gauss", "lrc", classify=True)
+        )
+        assert batched == element
+        assert sum(batched["classifier"].values()) > 0
 
     def test_checked_replay_equals_unchecked(self, monkeypatch):
         spec = small_spec("gauss", "lrc")
-        plain = spec.run(engine="replay").to_dict()
+        plain = spec.run().to_dict()
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
-        checked = spec.run(engine="replay").to_dict()
+        checked = spec.run().to_dict()
         assert checked == plain
 
     def test_value_checked_replay_equals_unchecked(self, monkeypatch):
+        # REPRO_VALUE_CHECK only arms the value model for the DRF fuzz
+        # workload; any other app runs exactly as without it.
         spec = small_spec("gauss", "sc")
-        plain = spec.run(engine="replay").to_dict()
+        plain = spec.run().to_dict()
         monkeypatch.setenv("REPRO_VALUE_CHECK", "1")
-        checked = spec.run(engine="replay").to_dict()
-        assert checked == plain
+        assert not spec.machine_config().value_model
+        assert spec.run().to_dict() == plain
 
     # Resumed spans: a tail re-promoted after a miss, an upgrade, a cold
     # buffer entry or a write-buffer stall must hit the quantum-deadline
     # split on both parities.  An odd small quantum makes it do so often;
     # the two line sizes are the warm and write-through-bound bench shapes.
+    # "classify" runs both sides with the miss classifier, "value-check"
+    # without it (the per-element side is value-checked either way).
     @pytest.mark.parametrize("line_size", (512, 256))
     @pytest.mark.parametrize("app", ("gauss", "fft"))
     @pytest.mark.parametrize("mode", ("classify", "value-check"))
-    def test_resumed_spans_bit_identical(self, app, line_size, mode, monkeypatch):
+    def test_resumed_spans_bit_identical(self, app, line_size, mode):
         over = (("cache_size", 1 << 20), ("line_size", line_size), ("quantum", 37))
-        if mode == "value-check":
-            monkeypatch.setenv("REPRO_VALUE_CHECK", "1")
         for proto in PROTOCOLS:
             spec = small_spec(app, proto, overrides=over, classify=mode == "classify")
-            gen = spec.run(engine="generator").to_dict()
-            rep = spec.run(engine="replay").to_dict()
-            assert gen == rep, f"{app}/{proto} diverged"
+            batched, element = batched_and_per_element(spec)
+            assert batched == element, f"{app}/{proto} diverged"
 
     def test_simulate_engines_agree(self):
         a = simulate(Gauss, cfg(), "lrc", n=24)
-        b = simulate(Gauss, cfg(), "lrc", engine="generator", n=24)
+        stream = RecordedStream.record(Gauss(AppContext(cfg()), n=24))
+        b = per_element(MachineConfig(config=cfg(), protocol="lrc"), stream)
         assert a.to_dict() == b.to_dict()
 
 
@@ -129,13 +184,13 @@ class TestStreamCache:
         clear_stream_cache()
         start = stream_mod.RECORDINGS
         for proto in PROTOCOLS:
-            small_spec("gauss", proto).run(engine="replay")
+            small_spec("gauss", proto).run()
         assert stream_mod.RECORDINGS == start + 1
         # Drop the in-process memo: the second sweep must come from the
         # on-disk stream tier, not a new record phase.
         clear_stream_cache()
         for proto in PROTOCOLS:
-            small_spec("gauss", proto).run(engine="replay")
+            small_spec("gauss", proto).run()
         assert stream_mod.RECORDINGS == start + 1
 
     def test_memo_eviction_respects_hit_recency(self, monkeypatch):
@@ -277,53 +332,33 @@ class TestMachineReplay:
         c = cfg()
         s = RecordedStream.record(Gauss(AppContext(c), n=24))
         machine = MachineConfig(config=c).build()
-        Gauss(AppContext.for_machine(machine), n=24)  # dirties the space
+        machine.space.alloc(4096, "x")  # dirties the space
         with pytest.raises(RuntimeError, match="pristine"):
             machine.replay(s)
 
-    def test_replay_processor_rejects_generator_programs(self):
-        from repro.engine.replay import ReplayProcessor
-
-        machine = MachineConfig(config=cfg()).build()
-        proc = ReplayProcessor(machine.nodes[0], machine)
-        with pytest.raises(RuntimeError):
-            proc.set_program(iter(()))
-
 
 class TestAppApi:
-    def test_machine_ctor_shim_warns_and_still_runs(self):
-        machine = build_machine(cfg(), protocol="sc")
-        with pytest.warns(DeprecationWarning):
-            app = Gauss(machine, n=24)
-        assert app.machine is machine
-        assert run_app(app).exec_time > 0
+    def test_app_needs_a_context(self):
+        machine = MachineConfig(config=cfg()).build()
+        with pytest.raises(TypeError, match="AppContext"):
+            Gauss(machine, n=24)
 
-    def test_run_app_three_shapes_agree(self):
+    def test_run_app_shapes_agree(self):
         spec = small_spec("gauss", "sc")
         by_name = run_app("gauss", protocol="sc", n_procs=4, small=True)
         c = spec.machine_config().config
-        params = spec.app_params()
-        via_ctx = run_app(Gauss(AppContext(c), **params), protocol="sc")
-        machine = MachineConfig(config=c, protocol="sc").build()
-        via_machine = run_app(Gauss(AppContext.for_machine(machine), **params))
-        assert by_name.to_dict() == via_ctx.to_dict() == via_machine.to_dict()
+        via_ctx = run_app(Gauss(AppContext(c), **spec.app_params()), protocol="sc")
+        assert by_name.to_dict() == via_ctx.to_dict()
 
     def test_spec_fields_only_apply_to_names(self):
         app = Gauss(AppContext(cfg()), n=24)
         with pytest.raises(TypeError):
             run_app(app, n_procs=8)
 
-    def test_machine_bound_app_validates_protocol_and_classifier(self):
-        machine = build_machine(cfg(), protocol="sc")
-        app = Gauss(AppContext.for_machine(machine), n=24)
-        with pytest.raises(ValueError, match="running 'sc'"):
-            run_app(app, protocol="lrc")
-        with pytest.raises(ValueError, match="classifier"):
-            run_app(app, classify=True)
-
     def test_context_app_has_no_machine(self):
         app = Gauss(AppContext(cfg()), n=24)
-        assert app.machine is None
+        assert not hasattr(app, "machine")
+        assert not hasattr(app.ctx, "machine")
 
     def test_machine_config_consolidates_machine_kwargs(self):
         mc = MachineConfig(config=cfg(), protocol="erc", classify=True)
@@ -333,16 +368,3 @@ class TestAppApi:
         mc2 = mc.with_(protocol="sc", classify=False)
         assert (mc2.protocol, mc2.classify) == ("sc", False)
         assert mc2.config is mc.config
-
-    def test_resolve_engine(self, monkeypatch):
-        monkeypatch.delenv(ENV_ENGINE, raising=False)
-        assert resolve_engine() == "replay"
-        assert resolve_engine("generator") == "generator"
-        with pytest.raises(ValueError):
-            resolve_engine("vectorized")
-        monkeypatch.setenv(ENV_ENGINE, "generator")
-        assert resolve_engine() == "generator"
-        monkeypatch.setenv(ENV_ENGINE, "bogus")
-        with pytest.raises(ValueError):
-            resolve_engine()
-        assert set(ENGINES) == {"replay", "generator"}

@@ -186,6 +186,27 @@ def test_wrong_program_count_rejected():
         m.run([iter(())])
 
 
+def test_unrecordable_op_rejected_before_any_event():
+    # Machine.run packs every program before it starts a CPU, so a bad
+    # op in processor 1's program fails before processor 0's valid ops
+    # run.
+    m = Machine(cfg(2), protocol="lrc")
+    seg = m.space.alloc(4096, "d")
+
+    def good():
+        yield (READ, seg.base)
+        yield (COMPUTE, 10)
+
+    def bad():
+        yield (COMPUTE, 5)
+        yield (99, seg.base)
+
+    with pytest.raises(ValueError, match="unrecordable op"):
+        m.run([good(), bad()])
+    assert m.sim.events_processed == 0
+    assert m.stats.procs[0].reads == 0
+
+
 def test_machine_single_use():
     m = Machine(cfg(1), protocol="lrc")
 

@@ -155,11 +155,6 @@ class TestBackCompat:
         r2 = run_spec(spec)
         assert r1 is r2  # same memo entry: one simulation, two front doors
 
-    def test_cache_module_attr_is_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="_CACHE"):
-            cache = experiments._CACHE
-        assert cache is experiments._MEMO
-
     def test_unknown_module_attr_still_raises(self):
         with pytest.raises(AttributeError):
             experiments._NOT_A_THING

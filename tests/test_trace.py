@@ -30,7 +30,8 @@ from repro.program.ops import (
     WRITE,
     WRITE_RUN,
 )
-from repro.protocols import PROTOCOLS
+from repro.program.stream import RecordedStream
+from repro.protocols import REGISTRY
 from repro.protocols.lrc import LRCProtocol
 from repro.trace import InvariantChecker, InvariantViolation, Tracer
 
@@ -178,7 +179,7 @@ class BrokenAcquireLRC(LRCProtocol):
 
 class TestCheckerTrips:
     def _machine(self, monkeypatch, cls, n=2):
-        monkeypatch.setitem(PROTOCOLS, cls.name, cls)
+        monkeypatch.setitem(REGISTRY, cls.name, cls)
         return Machine(cfg(n), protocol=cls.name, trace=True, check_invariants=True)
 
     def test_release_fired_early_trips(self, monkeypatch):
@@ -262,6 +263,32 @@ class TestCheckerTrips:
         with pytest.raises(InvariantViolation, match="disagree"):
             m.checker.scan()
 
+    # Tardis: the lease table and the valid cache lines are one set.
+    # Blocks 1 and 2 fall in different sets of the 8-line cache.
+    @pytest.mark.parametrize(
+        "resident, leased, match",
+        [
+            ([1], [], r"unleased resident=\[1\], leased absent=\[\]"),
+            ([], [1], r"unleased resident=\[\], leased absent=\[1\]"),
+            ([2], [1], r"unleased resident=\[2\], leased absent=\[1\]"),
+        ],
+        ids=["unleased-resident", "leased-absent", "same-count"],
+    )
+    def test_tardis_lease_residency_mismatch_trips(self, resident, leased, match):
+        from repro.cache.state import RO
+
+        m = Machine(cfg(2), protocol="tardis", check_invariants=True)
+        node = m.nodes[0]
+        node.cache.install(3, RO)        # a leased resident line: consistent
+        node.ts_lease[3] = 10
+        m.checker.scan()
+        for block in resident:
+            node.cache.install(block, RO)
+        for block in leased:
+            node.ts_lease[block] = 10
+        with pytest.raises(InvariantViolation, match=match):
+            m.checker.scan()
+
     def _finished_machine(self, proto="lrc"):
         m = Machine(cfg(2), protocol=proto, trace=True, check_invariants=True)
 
@@ -329,8 +356,8 @@ def test_fill_race_regression(proto):
     fill in the network and the stale line stayed resident forever."""
     config = bench_config(n_procs=4)
     m = Machine(config, protocol=proto, check_invariants=True)
-    app = APPS["locusroute"](AppContext.for_machine(m), **APP_PRESETS_SMALL["locusroute"])
-    m.run([app.program(p) for p in range(4)])  # passes the end-of-run sweep
+    app = APPS["locusroute"](AppContext(config), **APP_PRESETS_SMALL["locusroute"])
+    m.replay(RecordedStream.record(app))  # passes the end-of-run sweep
     assert all(not n.fill_pending and not n.fill_fixup for n in m.nodes)
 
 
@@ -342,9 +369,10 @@ def test_fill_race_regression(proto):
 @pytest.mark.parametrize("proto", ALL_PROTOCOLS)
 def test_invariant_sweep(proto, app):
     def run(**obs):
-        m = Machine(bench_config(n_procs=4), protocol=proto, **obs)
-        a = APPS[app](AppContext.for_machine(m), **APP_PRESETS_SMALL[app])
-        return m.run([a.program(p) for p in range(4)])
+        config = bench_config(n_procs=4)
+        m = Machine(config, protocol=proto, **obs)
+        a = APPS[app](AppContext(config), **APP_PRESETS_SMALL[app])
+        return m.replay(RecordedStream.record(a))
 
     plain = run()
     checked = run(trace=True, check_invariants=True)
