@@ -10,7 +10,6 @@ machine in action (UNCACHED -> DIRTY -> WEAK -> SHARED -> UNCACHED).
 
 from repro import Machine, SystemConfig
 from repro.directory.entry import dir_state_name
-from repro.network.messages import MsgType
 from repro.program.ops import BARRIER, COMPUTE, READ, WRITE
 
 PHASES = [
@@ -64,8 +63,8 @@ def main() -> None:
 
     t = m.fabric.stats
     print("\nmessages on the wire:")
-    for mt, count in sorted(t.count.items()):
-        print(f"  {MsgType(mt).name:15s} {count}")
+    for name, (count, _nbytes) in t.as_dict().items():
+        print(f"  {name:15s} {count}")
     print("\nNote the absence of FORWARD/OWNER_DATA: the lazy protocol's")
     print("reads are always served by the home's (write-through) memory.")
 

@@ -7,12 +7,8 @@
     python -m repro figures --only t3 f4 --jobs 4
     python -m repro trace locusroute --protocol sc --procs 4 --small
     python -m repro fuzz --seed 0 --iters 50 --procs 8
-    python -m repro fuzz --iters 50 --faults drop=0.02,dup=0.02,delay=0.05
+    python -m repro fuzz --iters 50 --jitter
     python -m repro fuzz --iters 30 --mode service
-    python -m repro faults --iters 10 --rates 0.01 0.02 0.05
-    python -m repro faults --rates 0.02 --apps kvstore pubsub
-    python -m repro scenarios list
-    python -m repro scenarios run satellite_link --protocols lrc tardis
 
 ``figures`` regenerates the paper's tables and figures, fanning the
 underlying simulations out over ``--jobs`` worker processes and caching
@@ -21,20 +17,11 @@ repeated invocation renders from disk without simulating anything.
 Failed experiments are persisted as structured failure records and
 summarized at the end instead of aborting the sweep.
 
-``fuzz --faults`` runs the differential conformance campaign under
-seeded message-level fault injection (drop/dup/delay/reorder at the NIC
-boundary); the reliable-delivery layer must recover transparently, so
-the oracle comparison is unchanged and the recovery-traffic counters
-are reported.  ``faults`` sweeps fault rates across every protocol and
-tabulates failures and recovery traffic; ``--apps`` additionally runs
-named applications (e.g. the service workloads) under each swept plan
-with the invariant checker on.
-
-``scenarios`` runs the named-scenario library (DESIGN.md §13): each
-scenario is a versioned JSON document bundling an app, its parameters,
-the machine shape, and a phase-scripted fault plan; ``scenarios run``
-sweeps it across protocols and persists a summary artifact in the
-result store.
+``fuzz --jitter`` runs the differential conformance campaign with
+seeded, per-channel-FIFO-preserving delivery jitter (DESIGN.md §10):
+delivery stays lossless and in order, so the oracle comparison is
+unchanged while message timing varies; the delayed-message count is
+reported.
 
 ``trace`` runs one simulation with the protocol event tracer and the
 coherence-invariant checker enabled; on a violation it prints the event
@@ -52,7 +39,6 @@ import sys
 import time
 
 from repro.apps import APPS
-from repro.faults.plan import FaultPlan
 from repro.harness import run_experiment
 from repro.harness.experiments import (
     ARTIFACT_KEYS,
@@ -108,7 +94,6 @@ def _cmd_run(args) -> int:
         n_procs=args.procs,
         small=args.small,
         check_invariants=args.check_invariants,
-        faults=FaultPlan.parse(args.faults) if args.faults else None,
     )
     r = run_spec(spec)
     s = r.summary()
@@ -329,13 +314,11 @@ def _cmd_fuzz(args) -> int:
     if args.replay:
         return replay_reproducer(args.replay, window=args.window, log=say)
     protocols = tuple(args.protocols)
-    faults = FaultPlan.parse(args.faults) if args.faults else None
     journal = _campaign_journal(
         args.store_dir, "fuzz",
         {"seed": args.seed, "iters": args.iters, "procs": args.procs,
          "n_ops": args.n_ops, "protocols": list(protocols),
-         "mode": args.mode,
-         "faults": faults.to_dict() if faults else None},
+         "mode": args.mode, "jitter": args.jitter},
         args.resume,
     )
     summary = fuzz_run(
@@ -348,19 +331,18 @@ def _cmd_fuzz(args) -> int:
         do_minimize=args.minimize,
         jobs=args.jobs,
         window=args.window,
-        faults=faults,
+        jitter=args.jitter,
         log=say,
         journal=journal,
     )
     failures = summary["failures"]
-    if faults is not None:
-        say(f"fault plan [{faults.label()}]: "
-            + _format_traffic(summary.get("traffic", {})))
+    if args.jitter:
+        say("jitter: " + _format_traffic(summary.get("traffic", {})))
     if not failures:
         print(
             f"fuzz: {args.iters} programs x {len(protocols)} protocols "
             f"({', '.join(protocols)}), {args.procs} procs: all clean"
-            + (f" under faults [{faults.label()}]" if faults else "")
+            + (" under jitter" if args.jitter else "")
         )
         return 0
     if args.out:
@@ -372,227 +354,6 @@ def _cmd_fuzz(args) -> int:
             print(f"    {line}")
     print(f"fuzz: {len(failures)} failure(s) in {args.iters} iterations")
     return 1
-
-
-def _cmd_faults(args) -> int:
-    """Fault-rate sweep: the conformance campaign at each rate, with the
-    recovery-traffic counters tabulated per rate."""
-    from repro.conformance import fuzz_run
-
-    say = lambda s: print(s, file=sys.stderr)
-    protocols = tuple(args.protocols)
-    base = FaultPlan.parse(args.faults) if args.faults else FaultPlan()
-    journal = _campaign_journal(
-        args.store_dir, "faults",
-        {"seed": args.seed, "iters": args.iters, "procs": args.procs,
-         "protocols": list(protocols), "rates": [float(r) for r in args.rates],
-         "faults": base.to_dict(), "apps": list(args.apps)},
-        args.resume,
-    )
-    completed = journal.completed()
-    rows = []
-    bad = 0
-    for rate in args.rates:
-        cell = f"rate-{rate:g}"
-        entry = completed.get(cell)
-        if entry is not None and entry["op"] == "done":
-            say(f"rate {rate:g}: journaled, skipping")
-            bad += entry["data"]["n_fail"]
-            rows.append(entry["data"]["row"])
-            continue
-        plan = FaultPlan.from_dict(
-            {
-                **base.to_dict(),
-                "seed": args.seed,
-                "drop": rate,
-                "dup": rate,
-                "delay": min(1.0, 2 * rate),
-            }
-        )
-        say(f"rate {rate:g}: fuzzing under [{plan.label()}] ...")
-        journal.start(cell)
-        summary = fuzz_run(
-            seed=args.seed,
-            iters=args.iters,
-            n_procs=args.procs,
-            protocols=protocols,
-            do_minimize=False,
-            jobs=args.jobs,
-            faults=plan,
-            log=say,
-        )
-        t = summary.get("traffic", {})
-        n_fail = len(summary["failures"])
-        bad += n_fail
-        row = [
-            f"{rate:g}",
-            n_fail,
-            t.get("retransmits", 0),
-            t.get("dup_drops", 0),
-            t.get("drops_injected", 0),
-            t.get("dups_injected", 0),
-            t.get("delays_injected", 0),
-        ]
-        journal.done(cell, {"row": row, "n_fail": n_fail})
-        rows.append(row)
-    print(
-        format_table(
-            ["rate", "failures", "retransmits", "dup_drops",
-             "dropped", "duped", "delayed"],
-            rows,
-            title=(
-                f"fault sweep: {args.iters} programs x "
-                f"{len(protocols)} protocols ({', '.join(protocols)}), "
-                f"{args.procs} procs"
-            ),
-        )
-    )
-    if args.apps:
-        bad += _faults_app_campaign(args, base, say, journal)
-    if bad:
-        print(f"faults: {bad} failure(s); rerun `repro fuzz --faults ...` "
-              "at the failing rate to diagnose and minimize")
-        return 1
-    print("faults: all runs recovered and agreed with the oracle")
-    return 0
-
-
-def _faults_app_campaign(args, base: FaultPlan, say, journal=None) -> int:
-    """The ``faults --apps`` leg: each named app under each swept plan,
-    across every protocol, with the invariant checker on."""
-    from repro.harness.spec import ExperimentSpec
-    from repro.scenarios.runner import RECOVERY_COUNTERS
-
-    completed = journal.completed() if journal is not None else {}
-    rows = []
-    bad = 0
-    for rate in args.rates:
-        plan = FaultPlan.from_dict(
-            {
-                **base.to_dict(),
-                "seed": args.seed,
-                "drop": rate,
-                "dup": rate,
-                "delay": min(1.0, 2 * rate),
-            }
-        )
-        for app in args.apps:
-            cell = f"apps-{rate:g}-{app}"
-            entry = completed.get(cell)
-            if entry is not None and entry["op"] == "done":
-                say(f"rate {rate:g}: {app}: journaled, skipping")
-                bad += entry["data"]["n_fail"]
-                rows.append(entry["data"]["row"])
-                continue
-            say(f"rate {rate:g}: {app} under [{plan.label()}] ...")
-            if journal is not None:
-                journal.start(cell)
-            totals = dict.fromkeys(RECOVERY_COUNTERS, 0)
-            n_fail = 0
-            for proto in args.protocols:
-                spec = ExperimentSpec(
-                    app=app, protocol=proto, n_procs=args.procs,
-                    small=True, faults=plan, check_invariants=True,
-                )
-                try:
-                    r = spec.run()
-                except Exception as e:
-                    n_fail += 1
-                    say(f"  FAIL {spec.label()}: {type(e).__name__}: {e}")
-                    continue
-                for name in RECOVERY_COUNTERS:
-                    totals[name] += getattr(r.traffic, name, 0)
-            bad += n_fail
-            row = [f"{rate:g}", app, n_fail,
-                   *[totals[name] for name in RECOVERY_COUNTERS]]
-            if journal is not None:
-                journal.done(cell, {"row": row, "n_fail": n_fail})
-            rows.append(row)
-    print(
-        format_table(
-            ["rate", "app", "failures", "retransmits", "dup_drops",
-             "dropped", "duped", "delayed"],
-            rows,
-            title=(
-                f"service-app fault campaign: "
-                f"{len(args.protocols)} protocols, {args.procs} procs, "
-                f"invariant checker on"
-            ),
-        )
-    )
-    return bad
-
-
-def _cmd_scenarios(args) -> int:
-    from repro.scenarios import builtin_scenarios, load_scenario, run_scenario
-
-    say = lambda s: print(s, file=sys.stderr)
-    if args.action == "list":
-        for name, path in sorted(builtin_scenarios().items()):
-            sc = load_scenario(name)
-            faults = sc.faults.label() if sc.faults else "none"
-            print(f"{name:26s} app={sc.app:10s} procs={sc.n_procs:<3d} "
-                  f"faults[{faults}]")
-            if args.verbose:
-                print(f"    {sc.description}")
-        return 0
-    store = None if args.no_store else ResultStore(args.store_dir)
-    bad = 0
-    for name in args.names:
-        sc = load_scenario(name)
-        say(f"scenario {sc.name}: {sc.description}")
-        journal = None
-        if store is not None:
-            journal = _campaign_journal(
-                store.root, "scenario",
-                {"scenario": sc.name, "protocols": list(args.protocols),
-                 "procs": args.procs,
-                 "check_invariants": bool(args.check_invariants)},
-                args.resume,
-            )
-        summary = run_scenario(
-            sc,
-            protocols=args.protocols or None,
-            n_procs=args.procs,
-            check_invariants=args.check_invariants,
-            store=store,
-            progress=say,
-            journal=journal,
-        )
-        rows = []
-        base_time = None
-        for proto in summary["protocols"]:
-            row = summary["results"][proto]
-            if not row["ok"]:
-                bad += 1
-                rows.append([proto, "FAIL", row["kind"], row["message"][:40],
-                             "", "", ""])
-                continue
-            if base_time is None:
-                base_time = row["exec_time"]
-            rows.append([
-                proto,
-                row["exec_time"],
-                f"{row['exec_time'] / base_time:.3f}",
-                row["messages"],
-                row["retransmits"],
-                row["drops_injected"],
-                row["delays_injected"],
-            ])
-        print(format_table(
-            ["protocol", "cycles", "norm", "messages",
-             "retransmits", "dropped", "delayed"],
-            rows,
-            title=f"scenario {sc.name} ({sc.app}, "
-                  f"{summary['n_procs']} procs)",
-        ))
-        if store is not None:
-            say(f"summary artifact: "
-                f"{store.artifact_path_for('scenario-' + sc.name)}")
-    if bad:
-        print(f"scenarios: {bad} cell(s) failed (failure records persisted)")
-        return 1
-    return 0
 
 
 def main(argv=None) -> int:
@@ -612,11 +373,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--procs", type=int, default=16)
     p_run.add_argument("--small", action="store_true")
     p_run.add_argument("--check-invariants", action="store_true", help=check_help)
-    p_run.add_argument(
-        "--faults", default=None, metavar="PLAN",
-        help="attach a fault plan (FaultPlan mini-language, e.g. "
-        "drop=0.02,seed=7)",
-    )
 
     p_cmp = sub.add_parser("compare", help="run one app under all protocols")
     p_cmp.add_argument("app", choices=sorted(APPS))
@@ -734,11 +490,9 @@ def main(argv=None) -> int:
         help="re-run the reproducers in a fuzz JSON report instead of fuzzing",
     )
     p_fz.add_argument(
-        "--faults", default=None, metavar="PLAN",
-        help="inject seeded message faults, e.g. "
-        "drop=0.02,dup=0.02,delay=0.05 (keys are FaultPlan fields); "
-        "the oracle comparison is unchanged — the reliable-delivery "
-        "layer must recover transparently",
+        "--jitter", action="store_true",
+        help="delay messages by seeded, per-channel-FIFO-preserving "
+        "amounts (seeded by each program's own seed; runs sequentially)",
     )
     p_fz.add_argument(
         "--store-dir", default=DEFAULT_ROOT,
@@ -746,88 +500,6 @@ def main(argv=None) -> int:
         f"(default {DEFAULT_ROOT})",
     )
     p_fz.add_argument("--resume", action="store_true", help=resume_help)
-
-    p_fl = sub.add_parser(
-        "faults",
-        help="fault-injection sweep: the conformance campaign at each "
-        "fault rate, tabulating failures and recovery traffic",
-    )
-    p_fl.add_argument("--seed", type=int, default=0)
-    p_fl.add_argument("--iters", type=int, default=10,
-                      help="programs per rate (default 10)")
-    p_fl.add_argument("--procs", type=int, default=8)
-    p_fl.add_argument(
-        "--protocols", nargs="*", default=list(all_names()),
-        choices=sorted(REGISTRY), metavar="PROTO",
-    )
-    p_fl.add_argument(
-        "--rates", nargs="*", type=float, default=[0.01, 0.02, 0.05],
-        metavar="RATE",
-        help="drop/dup rates to sweep; delay rate is 2x (default "
-        "0.01 0.02 0.05)",
-    )
-    p_fl.add_argument(
-        "--faults", default=None, metavar="PLAN",
-        help="base plan the swept rates are applied on top of "
-        "(e.g. burst_every=50000,burst_len=2000)",
-    )
-    p_fl.add_argument(
-        "--jobs", type=int, default=1,
-        help="verify iterations in parallel worker processes",
-    )
-    p_fl.add_argument(
-        "--apps", nargs="*", default=[], choices=sorted(APPS), metavar="APP",
-        help="also run these applications (small presets, invariant "
-        "checker on) under each swept fault plan, e.g. the service "
-        "workloads kvstore taskqueue pubsub",
-    )
-    p_fl.add_argument(
-        "--store-dir", default=DEFAULT_ROOT,
-        help="directory holding the campaign journal "
-        f"(default {DEFAULT_ROOT})",
-    )
-    p_fl.add_argument("--resume", action="store_true", help=resume_help)
-
-    p_sc = sub.add_parser(
-        "scenarios",
-        help="named scenario library: versioned JSON documents bundling "
-        "an app, machine shape, and phase-scripted fault plan",
-    )
-    sc_sub = p_sc.add_subparsers(dest="action", required=True)
-    p_sc_list = sc_sub.add_parser("list", help="list the builtin scenarios")
-    p_sc_list.add_argument(
-        "--verbose", "-v", action="store_true",
-        help="also print each scenario's description",
-    )
-    p_sc_run = sc_sub.add_parser(
-        "run", help="run scenarios across their protocol sweeps"
-    )
-    p_sc_run.add_argument(
-        "names", nargs="+", metavar="NAME",
-        help="builtin scenario names (or paths to scenario JSON files)",
-    )
-    p_sc_run.add_argument(
-        "--protocols", nargs="*", default=[],
-        choices=sorted(REGISTRY), metavar="PROTO",
-        help="restrict the sweep (default: the scenario's own list, or "
-        "every protocol)",
-    )
-    p_sc_run.add_argument(
-        "--procs", type=int, default=None,
-        help="override the scenario's machine size (CI smokes use this)",
-    )
-    p_sc_run.add_argument(
-        "--check-invariants", action="store_true", help=check_help
-    )
-    p_sc_run.add_argument(
-        "--store-dir", default=DEFAULT_ROOT,
-        help=f"result-store directory (default {DEFAULT_ROOT})",
-    )
-    p_sc_run.add_argument(
-        "--no-store", action="store_true",
-        help="do not read or write the on-disk result store",
-    )
-    p_sc_run.add_argument("--resume", action="store_true", help=resume_help)
 
     args = ap.parse_args(argv)
     if args.cmd == "list":
@@ -840,10 +512,6 @@ def main(argv=None) -> int:
         return _cmd_trace(args)
     if args.cmd == "fuzz":
         return _cmd_fuzz(args)
-    if args.cmd == "faults":
-        return _cmd_faults(args)
-    if args.cmd == "scenarios":
-        return _cmd_scenarios(args)
     return _cmd_compare(args)
 
 

@@ -86,14 +86,16 @@ def fuzz_config(n_procs: int, seed: int):
 
 
 def build_machine(
-    spec: ProgramSpec, protocol: str, trace: bool = False, faults=None
+    spec: ProgramSpec, protocol: str, trace: bool = False, jitter: bool = False
 ):
     """A fresh fuzz machine + context-built app for one program under one
     protocol.
 
-    The app is built against its own recording context (not the
-    machine): the machine replays the app's recorded stream, whose
-    allocation log rebuilds the app's address space, and
+    ``jitter`` delays messages on a schedule seeded by the program's own
+    seed (:mod:`repro.network.jitter`), so a failure found under jitter
+    replays identically.  The app is built against its own recording
+    context (not the machine): the machine replays the app's recorded
+    stream, whose allocation log rebuilds the app's address space, and
     :func:`verify_run` reads the app's segment and program spec."""
     from repro.apps import APPS
     from repro.apps.common import AppContext
@@ -107,18 +109,15 @@ def build_machine(
         trace=trace,
         check_invariants=True,
         value_model=True,
-        faults=faults,
+        jitter_seed=spec.seed if jitter else None,
     )
     app = APPS["fuzz"](AppContext(cfg), program=spec)
     return machine, app
 
 
 #: MessageStats counters summed into a fuzz campaign's traffic summary
-#: (nonzero retransmits prove injected faults actually fired).
-TRAFFIC_KEYS = (
-    "retransmits", "dup_drops", "drops_injected", "dups_injected",
-    "delays_injected",
-)
+#: (nonzero delays prove the jitter actually fired).
+TRAFFIC_KEYS = ("delays_injected",)
 
 
 def _accumulate_traffic(traffic_out, stats) -> None:
@@ -231,25 +230,24 @@ def run_one(
     protocol: str,
     oracle: Optional[OracleResult] = None,
     trace: bool = False,
-    faults=None,
+    jitter: bool = False,
     traffic_out: Optional[Dict[str, int]] = None,
 ):
-    """Run one program under one protocol (optionally under faults).
+    """Run one program under one protocol (optionally under jitter).
 
     Returns ``(reason, message, machine)`` on failure, or ``None`` on a
     clean, oracle-agreeing run.  The oracle comparison is unchanged
-    under faults: the reliable-delivery layer hands the protocol
-    exactly-once, per-channel-ordered messages, so committed ops, final
-    memory, and the structural counters must all still match — only
-    timing (and the recovery traffic accumulated into ``traffic_out``)
-    differs.
+    under jitter: delivery stays exactly-once and per-channel FIFO, so
+    committed ops, final memory, and the structural counters must all
+    still match — only timing (and the delay count accumulated into
+    ``traffic_out``) differs.
     """
     from repro.engine.simulator import DeadlockError
-    from repro.faults.watchdog import SimulationStall
+    from repro.engine.watchdog import SimulationStall
     from repro.program.stream import recorded_stream
     from repro.trace.invariants import InvariantViolation
 
-    machine, app = build_machine(spec, protocol, trace=trace, faults=faults)
+    machine, app = build_machine(spec, protocol, trace=trace, jitter=jitter)
     try:
         try:
             # Streams are memoized by program content, so the protocol
@@ -276,10 +274,10 @@ def run_one(
 
 
 def _trace_window(
-    spec: ProgramSpec, protocol: str, window: int, faults=None
+    spec: ProgramSpec, protocol: str, window: int, jitter: bool = False
 ) -> List[str]:
     """Re-run a failing combination with the tracer for context lines."""
-    failure = run_one(spec, protocol, trace=True, faults=faults)
+    failure = run_one(spec, protocol, trace=True, jitter=jitter)
     if failure is None:
         return []
     machine = failure[2]
@@ -298,11 +296,13 @@ def _trace_window(
     return lines
 
 
-def make_fail_predicate(protocol: str, faults=None) -> Callable[[ProgramSpec], bool]:
+def make_fail_predicate(
+    protocol: str, jitter: bool = False
+) -> Callable[[ProgramSpec], bool]:
     """The minimizer's test: does the protocol still fail this program?"""
 
     def fails(candidate: ProgramSpec) -> bool:
-        return run_one(candidate, protocol, faults=faults) is not None
+        return run_one(candidate, protocol, jitter=jitter) is not None
 
     return fails
 
@@ -316,7 +316,7 @@ def fuzz_iteration(
     mode: str = "auto",
     do_minimize: bool = True,
     window: int = 12,
-    faults=None,
+    jitter: bool = False,
     traffic_out: Optional[Dict[str, int]] = None,
 ) -> List[FuzzFailure]:
     """Generate one program and run it under every protocol."""
@@ -330,7 +330,7 @@ def fuzz_iteration(
     failures = []
     for protocol in protocols:
         failure = run_one(
-            spec, protocol, oracle, faults=faults, traffic_out=traffic_out
+            spec, protocol, oracle, jitter=jitter, traffic_out=traffic_out
         )
         if failure is None:
             continue
@@ -342,10 +342,10 @@ def fuzz_iteration(
             reason=reason,
             message=message,
             program=spec.to_dict(),
-            trace_window=_trace_window(spec, protocol, window, faults=faults),
+            trace_window=_trace_window(spec, protocol, window, jitter=jitter),
         )
         if do_minimize:
-            small = minimize(spec, make_fail_predicate(protocol, faults=faults))
+            small = minimize(spec, make_fail_predicate(protocol, jitter=jitter))
             f.minimized = small.to_dict()
         failures.append(f)
     return failures
@@ -356,7 +356,6 @@ def _parallel_clean_scan(
     n_procs: int,
     protocols: Sequence[str],
     jobs: int,
-    faults=None,
     traffic_out: Optional[Dict[str, int]] = None,
 ) -> Optional[List[int]]:
     """Try to clear many iterations at once across worker processes.
@@ -375,7 +374,6 @@ def _parallel_clean_scan(
             protocol=protocol,
             n_procs=n_procs,
             overrides=(("seed", seed), ("cache_size", FUZZ_CACHE)),
-            faults=faults,
             check_invariants=True,
         )
         for seed in seeds
@@ -413,7 +411,7 @@ def fuzz_run(
     do_minimize: bool = True,
     jobs: int = 1,
     window: int = 12,
-    faults=None,
+    jitter: bool = False,
     log: Optional[Callable[[str], None]] = None,
     journal=None,
 ) -> Dict:
@@ -421,10 +419,10 @@ def fuzz_run(
     protocol.  Returns a summary dict; ``summary["failures"]`` is empty
     iff every run agreed with the oracle.
 
-    ``faults`` (a :class:`~repro.faults.plan.FaultPlan`, dict, or CLI
-    string) subjects every run to seeded fault injection; the oracle
-    comparison is unchanged, and ``summary["traffic"]`` reports the
-    recovery counters (nonzero retransmits prove faults fired).
+    ``jitter`` runs every program on the jitter fabric, seeded by the
+    program's own seed; the oracle comparison is unchanged,
+    ``summary["traffic"]`` counts the delayed messages, and
+    ``summary["jitter"]`` records the mode so ``--replay`` reuses it.
 
     ``journal`` (a :class:`~repro.results.journal.CampaignJournal`)
     makes the campaign resumable: every iteration's outcome is written
@@ -434,10 +432,7 @@ def fuzz_run(
     uninterrupted run, because each iteration is a pure function of its
     seed.
     """
-    from repro.faults.plan import FaultPlan
-
     say = log or (lambda s: None)
-    faults = FaultPlan.coerce(faults)
     traffic: Dict[str, int] = {k: 0 for k in TRAFFIC_KEYS}
     seeds = [seed + i for i in range(iters)]
     failures: List[dict] = []
@@ -473,11 +468,14 @@ def fuzz_run(
         if n_ops != preset["n_ops"] or mode != preset["mode"]:
             say("non-default n_ops/mode: running sequentially")
             jobs = 1
+        elif jitter:
+            # An ExperimentSpec names no delivery mode.
+            say("jitter: running sequentially")
+            jobs = 1
 
     if jobs > 1 and remaining and not prior_failed:
         cleared = _parallel_clean_scan(
-            remaining, n_procs, protocols, jobs, faults=faults,
-            traffic_out=traffic,
+            remaining, n_procs, protocols, jobs, traffic_out=traffic
         )
         if cleared is not None:
             if journal is not None:
@@ -493,7 +491,8 @@ def fuzz_run(
             say(f"{len(remaining)} iterations x {len(protocols)} protocols "
                 f"clean (parallel, {jobs} jobs)")
             return {"iters": iters, "protocols": list(protocols),
-                    "n_procs": n_procs, "failures": [], "traffic": traffic}
+                    "n_procs": n_procs, "jitter": jitter, "failures": [],
+                    "traffic": traffic}
         say("parallel scan reported a failure; rerunning sequentially")
         traffic = {k: 0 for k in TRAFFIC_KEYS}
 
@@ -511,7 +510,7 @@ def fuzz_run(
         fs = fuzz_iteration(
             i, it_seed, n_procs, n_ops, protocols,
             mode=mode, do_minimize=do_minimize, window=window,
-            faults=faults, traffic_out=it_traffic,
+            jitter=jitter, traffic_out=it_traffic,
         )
         _add_traffic(traffic, it_traffic)
         fs_dicts = [f.to_dict() for f in fs]
@@ -536,6 +535,7 @@ def fuzz_run(
         "iters": iters,
         "protocols": list(protocols),
         "n_procs": n_procs,
+        "jitter": jitter,
         "failures": failures,
         "traffic": traffic,
     }
@@ -555,9 +555,10 @@ def replay_reproducer(
 ) -> int:
     """Re-run every reproducer in a fuzz JSON report.
 
-    Prefers the minimized program when present.  Returns a process exit
-    code: 1 if any reproducer still fails, 0 if all run clean (the bug
-    was fixed since the report was written).
+    Prefers the minimized program when present, and replays under the
+    campaign's own delivery mode (``summary["jitter"]``).  Returns a
+    process exit code: 1 if any reproducer still fails, 0 if all run
+    clean (the bug was fixed since the report was written).
     """
     say = log or (lambda s: None)
     with open(path) as fh:
@@ -566,6 +567,9 @@ def replay_reproducer(
     if not failures:
         say(f"{path}: no reproducers recorded")
         return 0
+    jitter = bool(summary.get("jitter"))
+    if jitter:
+        say("replaying under jitter")
     still_failing = 0
     for i, f in enumerate(failures):
         spec = ProgramSpec.from_dict(f.get("minimized") or f["program"])
@@ -574,7 +578,7 @@ def replay_reproducer(
             say(f"reproducer {i}: oracle rejects the program: {oracle.error}")
             still_failing += 1
             continue
-        outcome = run_one(spec, f["protocol"], oracle)
+        outcome = run_one(spec, f["protocol"], oracle, jitter=jitter)
         if outcome is None:
             say(f"reproducer {i} ({f['protocol']}, {spec.op_count()} ops): clean")
             continue
@@ -582,7 +586,7 @@ def replay_reproducer(
         reason, message, _machine = outcome
         say(f"reproducer {i} ({f['protocol']}, {spec.op_count()} ops) "
             f"STILL FAILS: {reason}: {message}")
-        for line in _trace_window(spec, f["protocol"], window):
+        for line in _trace_window(spec, f["protocol"], window, jitter=jitter):
             say(f"    {line}")
     say(f"{still_failing}/{len(failures)} reproducers still failing")
     return 1 if still_failing else 0

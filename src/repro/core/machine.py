@@ -19,7 +19,9 @@ from repro.core.node import Node
 from repro.core.processor import Processor
 from repro.engine.replay import compile_stream
 from repro.engine.simulator import DeadlockError, Simulator
+from repro.engine.watchdog import StallWatchdog
 from repro.network.fabric import Fabric
+from repro.network.jitter import JitterFabric
 from repro.network.messages import MessageStats
 from repro.program.address_space import AddressSpace, apply_alloc_log
 from repro.program.stream import STREAM_CONFIG_FIELDS, RecordedStream, pack_programs
@@ -107,7 +109,6 @@ class MachineConfig:
     trace_capacity: int = 1 << 16
     check_level: str = "sync"
     value_model: bool = False
-    faults: Optional[object] = None
     stall_cycles: Optional[int] = None
 
     def build(self) -> "Machine":
@@ -135,27 +136,22 @@ class Machine:
         trace_capacity: int = 1 << 16,
         check_level: str = "sync",
         value_model: bool = False,
-        faults=None,
         stall_cycles: Optional[int] = None,
+        jitter_seed: Optional[int] = None,
     ) -> None:
         # Import here to avoid a cycle (protocols import nothing from core,
         # but core.__init__ re-exports both directions for users).
-        from repro.faults.plan import FaultPlan
         from repro.protocols import make_protocol
 
         self.config = config
         self.sim = Simulator(max_cycles=max_cycles)
-        # ``faults`` accepts a FaultPlan, a plan dict, or the CLI string
-        # form.  Only an *active* plan swaps in the reliable fabric; an
-        # inert (zero-rate) plan keeps the plain fabric, so its runs are
-        # bit-identical to no-faults runs.
-        self.fault_plan = FaultPlan.coerce(faults)
-        if self.fault_plan is not None and self.fault_plan.active:
-            from repro.faults.reliable import ReliableFabric
-
-            self.fabric = ReliableFabric(config, self.sim, self.fault_plan)
-        else:
+        # A jitter seed delays remote messages by seeded, FIFO-preserving
+        # amounts (the fuzzer's timing variety); without one the fabric
+        # is the plain lossless mesh.
+        if jitter_seed is None:
             self.fabric = Fabric(config, self.sim)
+        else:
+            self.fabric = JitterFabric(config, self.sim, jitter_seed)
         if stall_cycles is None:
             env = os.environ.get("REPRO_STALL_CYCLES", "")
             stall_cycles = int(env) if env else 0
@@ -281,8 +277,6 @@ class Machine:
         """Shared run tail: watchdog, event loop, deadlock check,
         observer finalization, result."""
         if self.stall_cycles:
-            from repro.faults.watchdog import StallWatchdog
-
             StallWatchdog(self, self.stall_cycles).arm()
         self.sim.run()
         if self._finished != self.config.n_procs:

@@ -1,6 +1,6 @@
 """Simulation stall detection.
 
-A livelocked protocol (lost wakeup, retransmit loop, ping-pong without
+A livelocked protocol (lost wakeup, re-fetch loop, ping-pong without
 progress) keeps the event queue busy forever, so the simulator never
 returns and the ``max_cycles`` ceiling — sized for the slowest *healthy*
 run — takes ages to trip.  The :class:`StallWatchdog` raises a
@@ -20,10 +20,10 @@ drained, preserving the machine's ordinary ``DeadlockError`` diagnosis).
 from __future__ import annotations
 
 #: Default no-progress window, in simulated cycles.  Legitimate
-#: zero-commit gaps are bounded by a handful of network round-trips plus
-#: the reliable layer's worst-case retransmit backoff — well under 1M
-#: cycles — so 5M is conservative while still turning an infinite hang
-#: into a prompt structured failure.
+#: zero-commit gaps are bounded by a handful of contended network
+#: round-trips and a long barrier or lock wait — well under 1M cycles —
+#: so 5M is conservative while still turning an infinite hang into a
+#: prompt structured failure.
 DEFAULT_STALL_CYCLES = 5_000_000
 
 #: Environment variable enabling the watchdog process-wide (cycles;
@@ -36,10 +36,9 @@ class SimulationStall(RuntimeError):
     """The simulation stopped making forward progress.
 
     Raised by the watchdog (``kind="watchdog"``) when no processor
-    commits an operation for the configured window, and by the reliable
-    delivery layer (``kind="retransmit-cap"``) when a message exhausts
-    its retransmit budget.  ``window`` holds formatted trace lines
-    anchored at the stall when a tracer was attached.
+    commits an operation for the configured window.  ``window`` holds
+    formatted trace lines anchored at the stall when a tracer was
+    attached.
     """
 
     def __init__(

@@ -15,9 +15,9 @@ Fault model, per job:
 * **crash** (non-zero exit, killed, or result missing from the store) —
   retried once;
 * **structured failure** — the worker caught the exception itself
-  (stall watchdog, retransmit cap, invariant violation, ...) and
-  persisted a :class:`RunFailure` before exiting; deterministic, so it
-  is *not* retried;
+  (stall watchdog, invariant violation, ...) and persisted a
+  :class:`RunFailure` before exiting; deterministic, so it is *not*
+  retried;
 * a job that still has no result is persisted as a :class:`RunFailure`
   and then either raised as :class:`ExperimentError`
   (``on_failure="raise"``, the default) or logged and skipped
@@ -50,7 +50,7 @@ from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.machine import RunResult
-from repro.faults.watchdog import DEFAULT_STALL_CYCLES, ENV_STALL_CYCLES
+from repro.engine.watchdog import DEFAULT_STALL_CYCLES, ENV_STALL_CYCLES
 from repro.harness.spec import ExperimentSpec
 from repro.results.store import ResultStore, RunFailure
 
@@ -146,7 +146,7 @@ def _worker(spec_dict: dict, store_root: str) -> None:
     """Worker entry: run one spec, persist the result (or the failure).
 
     The stall watchdog is enabled by default so a livelocked simulation
-    raises :class:`~repro.faults.watchdog.SimulationStall` instead of
+    raises :class:`~repro.engine.watchdog.SimulationStall` instead of
     hanging; any exception is persisted as a :class:`RunFailure` and
     signalled to the supervisor with :data:`FAILURE_EXIT`.
     """

@@ -18,9 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional, Tuple
-
-from repro.faults.plan import FaultPlan
+from typing import Any, Dict, Tuple
 
 #: Bumped whenever the *meaning* of a spec field changes (fingerprints
 #: then no longer collide with results computed under the old meaning).
@@ -51,19 +49,11 @@ class ExperimentSpec:
     result-store slot.  ``REPRO_CHECK_INVARIANTS=1`` in the environment
     forces it on for every :meth:`run`.
 
-    ``faults`` attaches a :class:`~repro.faults.plan.FaultPlan` (also
-    accepted as a dict or the CLI string form, e.g. ``"drop=0.02"``).
-    Unlike checking, faults *do* change the simulated numbers, so the
-    plan is part of equality, hashing and :meth:`fingerprint`; a spec
-    without faults fingerprints exactly as it did before the fault
-    subsystem existed, keeping old result stores warm.
-
     ``params`` holds *application*-parameter overrides applied on top of
-    the preset selected by ``small`` (the scenario library uses this to
-    size workloads without minting new presets).  Like ``overrides`` it
-    is normalized to a sorted tuple of pairs; like ``faults`` it is part
-    of the fingerprint only when non-empty, so every pre-existing spec
-    fingerprints unchanged.
+    the preset selected by ``small`` (sizing a workload without minting
+    a new preset).  Like ``overrides`` it is normalized to a sorted
+    tuple of pairs; it is part of the fingerprint only when non-empty,
+    so every spec without it fingerprints as before it existed.
     """
 
     app: str
@@ -73,7 +63,6 @@ class ExperimentSpec:
     classify: bool = False
     small: bool = False
     overrides: Tuple[Tuple[str, Any], ...] = field(default=())
-    faults: Optional[FaultPlan] = None
     params: Tuple[Tuple[str, Any], ...] = field(default=())
     check_invariants: bool = field(default=False, compare=False)
 
@@ -94,7 +83,6 @@ class ExperimentSpec:
         object.__setattr__(
             self, "params", tuple(sorted((str(k), v) for k, v in par))
         )
-        object.__setattr__(self, "faults", FaultPlan.coerce(self.faults))
         if self.kind not in MACHINE_KINDS:
             raise ValueError(
                 f"unknown machine kind {self.kind!r} (expected one of {MACHINE_KINDS})"
@@ -148,14 +136,9 @@ class ExperimentSpec:
             for k, v in self.to_dict().items()
             if k not in self.TRANSIENT_KEYS
         }
-        # A fault-free spec fingerprints exactly as it did before the
-        # ``faults`` field existed, so pinned fingerprints and old
-        # result stores stay valid; likewise a spec without app-param
-        # overrides fingerprints as it did before ``params`` existed.
-        # An inert default plan cannot perturb a run, so it fingerprints
-        # as no faults at all.
-        if d.get("faults") is None or d["faults"] == FaultPlan().to_dict():
-            d.pop("faults", None)
+        # A spec without app-param overrides fingerprints as it did
+        # before ``params`` existed, so pinned fingerprints and old
+        # result stores stay valid.
         if not d.get("params"):
             d.pop("params", None)
         canon = json.dumps(
@@ -174,7 +157,6 @@ class ExperimentSpec:
             "classify": self.classify,
             "small": self.small,
             "overrides": [[k, v] for k, v in self.overrides],
-            "faults": self.faults.to_dict() if self.faults is not None else None,
             "params": [[k, v] for k, v in self.params],
             "check_invariants": self.check_invariants,
         }
@@ -189,7 +171,6 @@ class ExperimentSpec:
             classify=d["classify"],
             small=d["small"],
             overrides=tuple((k, v) for k, v in d["overrides"]),
-            faults=d.get("faults"),
             params=tuple((k, v) for k, v in d.get("params", ())),
             check_invariants=d.get("check_invariants", False),
         )
@@ -204,7 +185,6 @@ class ExperimentSpec:
             + (" small" if self.small else "")
             + extra
             + pextra
-            + (f" faults[{self.faults.label()}]" if self.faults else "")
         )
 
     # -- execution ------------------------------------------------------------
@@ -236,13 +216,12 @@ class ExperimentSpec:
             classify=self.classify,
             check_invariants=check,
             value_model=value_check,
-            faults=self.faults,
         )
 
     def stream_key(self) -> str:
         """Request key of the recorded stream this spec replays.
 
-        Specs differing only in protocol, timing overrides, faults, or
+        Specs differing only in protocol, timing overrides, or
         observation flags share one key — one recording serves the whole
         sweep (see :mod:`repro.program.stream`)."""
         from repro.program.stream import stream_key

@@ -35,8 +35,7 @@ class MsgType(IntEnum):
     FLAG_SET = 17         # producer: release semantics done, set the flag
     FLAG_WAIT = 18        # consumer: block until the flag is set
     FLAG_GRANT = 19       # home -> consumer, flag observed set
-    RD_ACK = 20           # reliable-delivery cumulative ack (faults only)
-    TS_BUMP = 21          # tardis: advance a block's write timestamp at home
+    TS_BUMP = 20          # tardis: advance a block's write timestamp at home
 
 
 # The members as module constants (``from repro.network.messages import
@@ -53,16 +52,17 @@ DATA_BEARING = frozenset(
 )
 
 
-#: Reliable-delivery / fault-injection counters (kept separate from the
-#: per-type logical counters so the paper-figure bandwidth numbers keep
-#: meaning "messages the protocol asked for"; all zero when faults are
-#: off).
+#: The keys of the serialized ``"reliability"`` block.  Only
+#: ``delays_injected`` still counts anything (messages the jitter fabric
+#: delayed, :mod:`repro.network.jitter`); the other four belonged to a
+#: retired lossy-network layer and serialize as fixed zeros, so stored
+#: results and their digests keep their layout.
 RELIABILITY_COUNTERS = (
-    "retransmits",      # extra physical transmissions after a timeout
-    "dup_drops",        # arrivals discarded by receiver-side dedup
-    "drops_injected",   # messages the fault plan lost in flight
-    "dups_injected",    # duplicate copies the fault plan created
-    "delays_injected",  # messages given extra transit jitter
+    "retransmits",
+    "dup_drops",
+    "drops_injected",
+    "dups_injected",
+    "delays_injected",
 )
 
 
@@ -73,16 +73,12 @@ class MessageStats:
     int, so the fabric bumps them inline on every send.
     """
 
-    __slots__ = ("count", "bytes", "total_hops") + RELIABILITY_COUNTERS
+    __slots__ = ("count", "bytes", "total_hops", "delays_injected")
 
     def __init__(self) -> None:
         self.count: List[int] = [0] * len(MsgType)
         self.bytes: List[int] = [0] * len(MsgType)
         self.total_hops: int = 0
-        self.retransmits: int = 0
-        self.dup_drops: int = 0
-        self.drops_injected: int = 0
-        self.dups_injected: int = 0
         self.delays_injected: int = 0
 
     def record(self, mtype: MsgType, size: int, hops: int) -> None:
@@ -118,7 +114,8 @@ class MessageStats:
             "bytes": {name: b for name, _c, b in sent},
             "total_hops": self.total_hops,
             "reliability": {
-                name: getattr(self, name) for name in RELIABILITY_COUNTERS
+                name: self.delays_injected if name == "delays_injected" else 0
+                for name in RELIABILITY_COUNTERS
             },
         }
 
@@ -130,8 +127,6 @@ class MessageStats:
         for k, v in d["bytes"].items():
             s.bytes[MsgType[k]] = v
         s.total_hops = d["total_hops"]
-        # Absent in results stored before the fault subsystem existed.
-        rel = d.get("reliability") or {}
-        for name in RELIABILITY_COUNTERS:
-            setattr(s, name, rel.get(name, 0))
+        # Absent in results stored before the counters existed.
+        s.delays_injected = (d.get("reliability") or {}).get("delays_injected", 0)
         return s

@@ -6,8 +6,8 @@ pre-computes its random inputs in ``setup()`` and its ``program(pid)``
 generators never observe machine state.  That purity is what makes the
 record/replay split sound: execute the app's Python **once**, pack the
 yielded ops into structure-of-arrays numpy columns, and drive any number
-of (protocol, config, fault-plan) simulations from the arrays without
-ever resuming an application generator again.
+of (protocol, config) simulations from the arrays without ever resuming
+an application generator again.
 
 A :class:`RecordedStream` holds
 

@@ -1,8 +1,7 @@
 """Write-ahead campaign journal: resumable long-running sweeps (DESIGN.md §15).
 
-A campaign (``repro figures``, ``repro faults``, ``repro scenarios run``,
-``repro fuzz``) is a planned list of *cells* (experiment specs, fuzz
-iterations, sweep rates).  The journal records, as an append-only JSONL
+A campaign (``repro figures``, ``repro fuzz``) is a planned list of
+*cells* (experiment specs, fuzz iterations).  The journal records, as an append-only JSONL
 file under the result store, each planned cell and its outcome::
 
     <store-root>/journal/<kind>-<params-digest>.wal

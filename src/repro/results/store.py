@@ -11,9 +11,6 @@ Layout (``.repro-results/`` by default)::
                                  (app, params, stream-config) — the
                                  record phase's output, reused by every
                                  replay that shares the key
-        <name>.artifact.json     named summary artifacts (e.g. a
-                                 scenario run's per-protocol summary),
-                                 keyed by name rather than fingerprint
 
 Each file holds a schema-versioned envelope::
 
@@ -25,8 +22,8 @@ Each file holds a schema-versioned envelope::
       "result": {...RunResult.to_dict()...}
     }
 
-``checksum`` is a content integrity check over the payload (the result,
-failure, or artifact dict): a file corrupted *after* its atomic write —
+``checksum`` is a content integrity check over the payload (the result
+or failure dict): a file corrupted *after* its atomic write —
 truncated by a crashed filesystem, bit-flipped on disk — reads as a
 miss with a logged warning rather than silently feeding a figure wrong
 numbers.  Envelopes written before the field existed verify as intact
@@ -339,47 +336,6 @@ class ResultStore:
                 continue
         return out
 
-    # -- named summary artifacts ----------------------------------------------
-
-    def artifact_path_for(self, name: str) -> Path:
-        return self.root / f"{name}.artifact.json"
-
-    def save_artifact(self, name: str, payload: dict) -> Path:
-        """Atomically persist a named summary artifact.
-
-        Unlike results, artifacts are keyed by *name*, not fingerprint:
-        they are derived documents (e.g. a scenario run's per-protocol
-        summary, ``scenario-<name>.artifact.json``) whose inputs are
-        already fingerprint-cached individually.  Last-writer-wins, like
-        every other store write.
-        """
-        return self._atomic_write(
-            self.artifact_path_for(name),
-            {
-                "schema": SCHEMA_VERSION,
-                "name": name,
-                "checksum": _content_checksum(payload),
-                "artifact": payload,
-            },
-        )
-
-    def load_artifact(self, name: str) -> Optional[dict]:
-        """The stored artifact payload for ``name``, or None on any miss."""
-        path = self.artifact_path_for(name)
-        try:
-            with open(path) as f:
-                payload = json.load(f)
-        except (OSError, json.JSONDecodeError):
-            return None
-        try:
-            if payload["schema"] != SCHEMA_VERSION:
-                return None
-            if not _verify_checksum(payload, "artifact", path):
-                return None
-            return payload["artifact"]
-        except (KeyError, TypeError):
-            return None
-
     # -- recorded streams ------------------------------------------------------
 
     def stream_path_for(self, key: str) -> Path:
@@ -423,15 +379,13 @@ class ResultStore:
     # -- maintenance ----------------------------------------------------------
 
     def __len__(self) -> int:
-        """Number of stored *results* (failure records and named
-        artifacts not included)."""
+        """Number of stored *results* (failure records not included)."""
         if not self.root.is_dir():
             return 0
         return sum(
             1
             for p in self.root.glob("*.json")
             if not p.name.endswith(FAILURE_SUFFIX)
-            and not p.name.endswith(".artifact.json")
         )
 
     def clear(self) -> int:

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.faults.watchdog import DEFAULT_STALL_CYCLES, ENV_STALL_CYCLES
+from repro.engine.watchdog import DEFAULT_STALL_CYCLES, ENV_STALL_CYCLES
 
 # The stall watchdog is on for every machine built under pytest (unless
 # a test pins its own budget): a livelocked simulation becomes a

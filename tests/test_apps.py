@@ -3,9 +3,13 @@
 import pytest
 
 from repro import Machine, SystemConfig
-from repro.apps import APPS, AppContext, BarnesHut, BlockedLU, Cholesky, FFT, Gauss, LocusRoute, MP3D
+from repro.apps import (
+    APPS, SERVICE_APPS, AppContext, BarnesHut, BlockedLU, Cholesky, FFT,
+    Gauss, KVStore, LocusRoute, MP3D, PubSub, TaskQueue,
+)
 from repro.apps.barnes import _Quadtree
 from repro.apps.mp3d_quality import quality_divergence, run_quality_model
+from repro.harness.spec import ExperimentSpec
 from repro.program.stream import RecordedStream
 
 import numpy as np
@@ -258,3 +262,41 @@ class TestMP3DQuality:
         div = quality_divergence(particles=512, steps=5)
         assert set(div) == {"X", "Y", "Z"}
         assert div["X"] > max(div["Y"], div["Z"])
+
+
+class TestServiceAppDeterminism:
+    """Identical seeds give identical zipfian request tapes, recorded
+    streams and RunResult numbers (what the golden fixtures and the
+    replay cache both stand on)."""
+
+    @staticmethod
+    def cfg(**kw):
+        return SystemConfig.scaled(n_procs=4, cache_size=4096, **kw)
+
+    def test_identical_seeds_identical_request_tapes(self):
+        a = KVStore(AppContext(self.cfg()), n_keys=64, shards=4, ops=32)
+        b = KVStore(AppContext(self.cfg()), n_keys=64, shards=4, ops=32)
+        assert [list(map(tuple, r)) for r in a.requests] == \
+               [list(map(tuple, r)) for r in b.requests]
+        assert list(a.key_of_rank) == list(b.key_of_rank)
+
+    def test_different_seed_different_tape(self):
+        a = KVStore(AppContext(self.cfg(seed=1)), n_keys=64, shards=4, ops=32)
+        b = KVStore(AppContext(self.cfg(seed=2)), n_keys=64, shards=4, ops=32)
+        assert [list(map(tuple, r)) for r in a.requests] != \
+               [list(map(tuple, r)) for r in b.requests]
+
+    @pytest.mark.parametrize("cls,params", [
+        (KVStore, dict(n_keys=64, shards=4, ops=32)),
+        (TaskQueue, dict(tasks=48, work=16)),
+        (PubSub, dict(topics=4, messages=3)),
+    ])
+    def test_stream_fingerprints_stable_across_records(self, cls, params):
+        a = RecordedStream.record(cls(AppContext(self.cfg()), **params))
+        b = RecordedStream.record(cls(AppContext(self.cfg()), **params))
+        assert a.fingerprint() == b.fingerprint()
+
+    @pytest.mark.parametrize("app", SERVICE_APPS)
+    def test_run_results_bit_identical(self, app):
+        spec = ExperimentSpec(app, "lrc", n_procs=4, small=True)
+        assert spec.run().to_dict() == spec.run().to_dict()

@@ -158,6 +158,38 @@ def test_fuzz_broken_protocol_report_and_replay(tmp_path, capsys, monkeypatch):
     assert "STILL FAILS" in capsys.readouterr().err
 
 
+def test_fuzz_replay_reuses_the_campaigns_jitter(tmp_path, capsys, monkeypatch):
+    """A failure found under --jitter must replay under jitter, not
+    report clean on the plain fabric."""
+    import json
+
+    from repro.network.jitter import JitterFabric
+    from repro.protocols import REGISTRY, LRCProtocol
+
+    class BrokenUnderJitterLRC(LRCProtocol):
+        """Fires release continuations early, only on the jitter fabric."""
+
+        name = "broken-under-jitter"
+
+        def _pre_release(self, node, t, cont):
+            if isinstance(self.fabric, JitterFabric):
+                cont(t)
+            else:
+                super()._pre_release(node, t, cont)
+
+    monkeypatch.setitem(REGISTRY, BrokenUnderJitterLRC.name, BrokenUnderJitterLRC)
+    argv = ["fuzz", "--seed", "0", "--iters", "1", "--procs", "4",
+            "--n-ops", "40", "--protocols", BrokenUnderJitterLRC.name,
+            "--store-dir", str(tmp_path / "rs")]
+    assert main(argv) == 0  # clean on the plain fabric
+    out_file = tmp_path / "fuzz.json"
+    assert main(argv + ["--jitter", "--out", str(out_file)]) == 1
+    capsys.readouterr()
+    assert json.loads(out_file.read_text())["jitter"] is True
+    assert main(["fuzz", "--replay", str(out_file)]) == 1
+    assert "STILL FAILS" in capsys.readouterr().err
+
+
 def test_fuzz_no_minimize_skips_minimization(tmp_path, capsys, monkeypatch):
     import json
 
@@ -187,12 +219,43 @@ def test_fuzz_resume_skips_journaled_iterations(tmp_path, capsys):
     assert "all clean" in resumed.out
 
 
-def test_scenarios_resume_reuses_journal(tmp_path, capsys):
-    store = str(tmp_path / "rs")
-    base = ["scenarios", "run", "baseline_perfect", "--procs", "4",
-            "--protocols", "sc", "lrc", "--store-dir", store]
-    assert main(base) == 0
+def test_figures_resume_finishes_an_interrupted_campaign(
+    tmp_path, capsys, monkeypatch
+):
+    """A campaign killed mid-sweep, rerun with --resume, runs only the
+    cells it had not finished and prints byte-identical artifacts."""
+    from repro.harness.experiments import clear_cache
+    from repro.harness.spec import ExperimentSpec
+
+    def figures(store, *extra):
+        clear_cache()
+        return main(["figures", "--only", "t3", "--procs", "4", "--small",
+                     "--store-dir", str(tmp_path / store), *extra])
+
+    assert figures("ref") == 0
+    reference = capsys.readouterr().out
+
+    real_run = ExperimentSpec.run
+    calls = []
+
+    def run_then_die(spec):
+        if len(calls) == 4:
+            raise KeyboardInterrupt  # the campaign dies mid-sweep
+        calls.append(spec)
+        return real_run(spec)
+
+    monkeypatch.setattr(ExperimentSpec, "run", run_then_die)
+    with pytest.raises(KeyboardInterrupt):
+        figures("crash")
     capsys.readouterr()
-    assert main(base + ["--resume"]) == 0
-    resumed = capsys.readouterr()
-    assert resumed.err.count("journaled, skipping") == 2
+
+    def counting_run(spec):
+        calls.append(spec)
+        return real_run(spec)
+
+    calls.clear()
+    monkeypatch.setattr(ExperimentSpec, "run", counting_run)
+    assert figures("crash", "--resume") == 0
+    assert capsys.readouterr().out == reference
+    # t3 is 28 cells (4 protocols x 7 apps); 4 finished before the crash.
+    assert len(calls) == 24

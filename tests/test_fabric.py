@@ -1,15 +1,18 @@
-"""Tests for the mesh topology and the message fabric timing model."""
+"""Tests for the mesh topology, the message fabric timing model and the
+seeded delivery jitter."""
 
 import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import SystemConfig
+from repro.core.machine import Machine
 from repro.engine.simulator import Simulator
-from repro.faults.plan import FaultPlan
-from repro.faults.reliable import ReliableFabric
+from repro.harness.spec import ExperimentSpec
 from repro.network.fabric import Fabric
+from repro.network.jitter import JITTER_CYCLES, JitterFabric
 from repro.network.messages import (
     DATA_BEARING,
     RELIABILITY_COUNTERS,
@@ -172,11 +175,11 @@ def _fabric_serial(cfg):
     return Fabric(cfg, sim), sim
 
 
-def _fabric_reliable_inert(cfg):
+def _fabric_jitter_off(cfg):
     sim = Simulator()
-    plan = FaultPlan()
-    assert not plan.active
-    return ReliableFabric(cfg, sim, plan), sim
+    fab = JitterFabric(cfg, sim, seed=0)
+    fab.rate = 0.0
+    return fab, sim
 
 
 class TestReceiveNicOrder:
@@ -184,8 +187,8 @@ class TestReceiveNicOrder:
     order, whatever order the sends executed in."""
 
     @pytest.mark.parametrize(
-        "make", [_fabric_serial, _fabric_reliable_inert],
-        ids=["serial", "reliable-inert"],
+        "make", [_fabric_serial, _fabric_jitter_off],
+        ids=["serial", "jitter-off"],
     )
     @pytest.mark.parametrize(
         "mtype", [MsgType.DATA_REPLY, MsgType.ACK], ids=["data", "ctl"]
@@ -253,12 +256,15 @@ class TestMessageStatsSerialization:
     def test_old_stored_result_round_trips(self):
         old = _old_counter_to_dict(self.SENT)
         old["total_hops"] = 9
-        old["reliability"]["retransmits"] = 2
+        old["reliability"]["delays_injected"] = 2
         assert MessageStats.from_dict(old).to_dict() == old
-        # Results stored before the fault subsystem lack "reliability".
+        # The retired lossy-network counters always serialize as zero.
+        old["reliability"]["retransmits"] = 2
+        back = MessageStats.from_dict(old).to_dict()
+        assert back["reliability"]["retransmits"] == 0
+        # Results stored before the counters existed lack "reliability".
         del old["reliability"]
-        back = MessageStats.from_dict(old)
-        assert all(getattr(back, n) == 0 for n in RELIABILITY_COUNTERS)
+        assert MessageStats.from_dict(old).delays_injected == 0
 
     def test_counters_index_by_msgtype(self):
         s = self._stats()
@@ -268,3 +274,85 @@ class TestMessageStatsSerialization:
         assert s.total_messages == len(self.SENT)
         assert s.total_bytes == 184
         assert s.as_dict()["DATA_REPLY"] == (1, 128)
+
+
+def _jitter_stream(seed, sends, rate=1.0):
+    """Send ``sends`` ``(dst, data, size)`` messages from node 0, one per
+    cycle, on a jitter fabric; return (fabric, handler log).
+
+    ``log[(dst, data)]`` lists ``(send index, hand-off time)`` in the
+    order the handlers ran."""
+    sim = Simulator()
+    fab = JitterFabric(SystemConfig(n_procs=4), sim, seed=seed)
+    fab.rate = rate
+    log = {}
+    for i, (dst, data, size) in enumerate(sends):
+        mtype = MsgType.WRITE_THROUGH if data else MsgType.ACK
+        fab.send(
+            0, dst, mtype, i,
+            lambda t, key, i: log.setdefault(key, []).append((i, t)),
+            (dst, data), i, size=size if data else 0,
+        )
+    sim.run()
+    return fab, log
+
+
+_sends = st.lists(
+    st.tuples(
+        st.integers(min_value=1, max_value=3),
+        st.booleans(),
+        st.sampled_from([8, 64, 128]),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+class TestJitterFabric:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), sends=_sends)
+    def test_jitter_reorders_wires_not_handlers(self, seed, sends):
+        """Every message is delayed, by a random amount, yet each
+        (src, dst, channel) hands off exactly once, in send order."""
+        fab, log = _jitter_stream(seed, sends)
+        assert fab.stats.delays_injected == len(sends)
+        for key, got in log.items():
+            want = [i for i, (d, data, _) in enumerate(sends)
+                    if (d, data) == key]
+            assert [i for i, _t in got] == want
+
+    def test_delays_are_bounded_and_seeded(self):
+        sends = [(1 + i % 3, bool(i % 2), 64) for i in range(60)]
+        _plain, base = _jitter_stream(0, sends, rate=0.0)
+        fab, a = _jitter_stream(7, sends)
+        _fab, b = _jitter_stream(7, sends)
+        _fab, c = _jitter_stream(8, sends)
+        assert a == b  # same seed, same schedule
+        assert a != c  # another seed, another schedule
+        assert a != base
+        # A delay adds at most JITTER_CYCLES per message to the clamped
+        # channel, so no hand-off is later than all of them stacked.
+        last = max(t for got in base.values() for _i, t in got)
+        assert max(t for got in a.values() for _i, t in got) <= \
+            last + len(sends) * JITTER_CYCLES
+
+    def test_machine_uses_plain_fabric_without_a_seed(self):
+        cfg = SystemConfig(n_procs=4)
+        assert type(Machine(cfg).fabric) is Fabric
+        assert type(Machine(cfg, jitter_seed=3).fabric) is JitterFabric
+
+    def test_jitter_moves_cycles_not_operations(self):
+        spec = ExperimentSpec("mp3d", "lrc", n_procs=4, small=True)
+
+        def run(jitter_seed):
+            m = Machine(spec.config(), protocol="lrc",
+                        check_invariants=True, jitter_seed=jitter_seed)
+            return m.replay(spec.recorded_stream())
+
+        plain, jit, again = run(None), run(5), run(5)
+        assert plain.traffic.delays_injected == 0
+        assert jit.traffic.delays_injected > 0
+        assert jit.exec_time != plain.exec_time
+        assert jit.to_dict() == again.to_dict()  # deterministic
+        ops = lambda r: [(p.reads, p.writes, p.acquires, p.releases,
+                          p.barriers) for p in r.stats.procs]
+        assert ops(jit) == ops(plain)

@@ -632,3 +632,59 @@ class TestProtocolRegistry:
         assert spec.protocol == "tardis-2"
         with pytest.raises(ValueError, match="unknown protocol"):
             ExperimentSpec("gauss", "mesi", n_procs=2, small=True)
+
+
+class TestUpgradeEvictHintRace:
+    """Regression for a home-side race (erc): a node holding a line
+    read-only issued an upgrade, then evicted the RO copy while the
+    grant was in flight.  The clean EVICT_NOTICE — sent after the
+    WRITE_REQ, so processed after the grant was issued — erased the
+    freshly-DIRTY directory entry, while the requester re-installed the
+    line exclusively when the grant landed: node caches the block, home
+    has no entry.  The home must ignore a clean hint from the block's
+    current dirty owner (a real dirty eviction arrives as a WRITEBACK,
+    never a hint)."""
+
+    def _directory(self, protocol):
+        m = Machine(SystemConfig(n_procs=4), protocol=protocol)
+        seg = m.space.alloc(1 << 12, "data")
+        block = seg.base >> m.config.line_shift
+        home = m.protocol.nodes[m.home_of(block)]
+        return m.protocol, home.directory, block
+
+    @pytest.mark.parametrize("protocol", ["sc", "erc"])
+    def test_clean_hint_from_dirty_owner_is_ignored(self, protocol):
+        proto, d, block = self._directory(protocol)
+        d.read(block, 3)                  # node 3 holds the line RO,
+        d.write(block, 3, has_copy=True)  # then its upgrade is granted.
+        assert d.state_of(block) == DIRTY
+        # The stale hint for the superseded RO copy arrives at the home.
+        proto._h_evict_hint(0, block, 3)
+        assert d.state_of(block) == DIRTY
+        assert d.entries[block].owner == 3
+
+    def test_hint_from_a_mere_sharer_still_evicts(self):
+        proto, d, block = self._directory("erc")
+        d.read(block, 1)
+        d.write(block, 3, has_copy=False)
+        assert d.state_of(block) == DIRTY
+        # Node 1's hint (it was invalidated-or-evicted as a sharer) is
+        # not from the owner: normal processing.
+        proto._h_evict_hint(0, block, 1)
+        assert d.state_of(block) == DIRTY  # owner unaffected
+        proto._h_evict_hint(0, block, 3)   # owner's *own* hint ignored
+        assert d.entries[block].owner == 3
+        d.evict(block, 3, dirty=True)      # but a real writeback clears
+        assert d.state_of(block) == UNCACHED
+
+    def test_seed1_erc_jitter_iteration_stays_clean(self):
+        # Delivery jitter alone reaches the race: with the guard in
+        # _h_evict_hint removed, iteration 1 (seed 1) of
+        # ``fuzz --seed 0 --jitter`` leaves node 7 caching a block its
+        # home has no entry for.
+        from repro.conformance.fuzz import fuzz_iteration
+
+        failures = fuzz_iteration(
+            1, 1, 8, 120, ("erc",), do_minimize=False, jitter=True
+        )
+        assert failures == []

@@ -12,6 +12,7 @@ from repro.harness.runner import (
     run_parallel,
     run_serial,
 )
+from repro.engine.watchdog import SimulationStall
 from repro.harness.spec import ExperimentSpec
 from repro.results.store import ResultStore
 
@@ -194,12 +195,24 @@ class TestFaultHandling:
 class TestStructuredFailures:
     """A livelocked spec becomes a persisted RunFailure, not a hung pool."""
 
-    #: Total message loss with a tiny retry budget: the reliable layer
-    #: raises SimulationStall almost immediately, deterministically.
-    LIVELOCKED = ExperimentSpec(
-        "mp3d", "lrc", n_procs=4, small=True,
-        faults="drop=1.0,max_retries=2",
-    )
+    #: The spec whose run the fixture below turns into a watchdog stall.
+    LIVELOCKED = ExperimentSpec("mp3d", "sc", n_procs=4, small=True)
+
+    @pytest.fixture(autouse=True)
+    def _livelock(self, monkeypatch):
+        """Make LIVELOCKED's run raise the watchdog's SimulationStall,
+        deterministically; forked workers inherit the patch."""
+        real_run = ExperimentSpec.run
+
+        def run(spec):
+            if spec == self.LIVELOCKED:
+                raise SimulationStall(
+                    "no processor committed an operation for 5000000 "
+                    "cycles", kind="watchdog", cycle=5_000_000,
+                )
+            return real_run(spec)
+
+        monkeypatch.setattr(ExperimentSpec, "run", run)
 
     def test_record_mode_persists_and_continues(self, tmp_path):
         store = ResultStore(tmp_path / "rs")
@@ -214,7 +227,7 @@ class TestStructuredFailures:
         persisted = store.load_failure(self.LIVELOCKED)
         assert persisted is not None
         assert persisted.kind == "stall"
-        assert "retransmit" in persisted.message
+        assert "no processor committed" in persisted.message
         assert persisted.fingerprint == self.LIVELOCKED.fingerprint()
         assert not mp.active_children()
 
@@ -256,8 +269,6 @@ class TestStructuredFailures:
         assert store.load_failure(self.LIVELOCKED).kind == "stall"
 
     def test_run_serial_raise_mode_reraises_original(self):
-        from repro.faults.watchdog import SimulationStall
-
         with pytest.raises(SimulationStall):
             run_serial([self.LIVELOCKED])
 
