@@ -2,8 +2,11 @@
 """Protocol anatomy: trace the lifecycle of one shared cache line.
 
 Drives a producer/consumer pair by hand through the public Machine API
-and inspects the lazy directory after each phase — the Figure 1 state
-machine in action (UNCACHED -> DIRTY -> WEAK -> SHARED -> UNCACHED).
+and inspects the lazy directory at fixed cycles — the Figure 1 state
+machine in action (UNCACHED -> DIRTY -> WEAK -> DIRTY): the producer's
+write miss makes the line DIRTY, the consumer's read of it makes it
+WEAK, and the consumer's acquire invalidates its copy, leaving the
+producer the only (dirty) sharer again.
 
     python examples/protocol_anatomy.py
 """
@@ -11,13 +14,6 @@ machine in action (UNCACHED -> DIRTY -> WEAK -> SHARED -> UNCACHED).
 from repro import Machine, SystemConfig
 from repro.directory.entry import dir_state_name
 from repro.program.ops import BARRIER, COMPUTE, READ, WRITE
-
-PHASES = [
-    "producer cached the line exclusively (write miss)",
-    "consumer read the dirty line: WEAK, writer notified",
-    "consumer re-synchronized: invalidated + relinquished",
-    "producer evicted nothing; final directory state",
-]
 
 
 def main() -> None:
@@ -41,20 +37,25 @@ def main() -> None:
         yield (READ, seg.base)
         yield (WRITE, seg.base)
         yield (COMPUTE, 5000)
-        snap("after producer write")
         yield (BARRIER, 0)
         yield (COMPUTE, 20000)
         yield (BARRIER, 1)
-        snap("after consumer resync")
 
     def consumer(pid):
         yield (COMPUTE, 8000)
         yield (READ, seg.base)       # reads the dirty line: 2 hops, WEAK
         yield (COMPUTE, 2000)
-        snap("after consumer read")
         yield (BARRIER, 0)           # acquire semantics: invalidate
         yield (BARRIER, 1)
 
+    # The programs are packed before any event runs, so the snapshots
+    # are events on the simulator, not steps of the programs.
+    for cycle, label in (
+        (1_000, "after producer write"),
+        (9_500, "after consumer read"),
+        (20_000, "after consumer acquire"),
+    ):
+        m.sim.at(cycle, snap, label)
     m.run([producer(0), consumer(1)])
 
     print("Lazy directory lifecycle of one line (Figure 1):\n")

@@ -474,8 +474,8 @@ def main(argv=None) -> int:
     )
     p_fz.add_argument(
         "--jobs", type=int, default=1,
-        help="verify iterations in parallel worker processes first; "
-        "failures are re-diagnosed sequentially",
+        help="run iterations on this many worker processes (default 1); "
+        "the report does not depend on it",
     )
     p_fz.add_argument(
         "--window", type=int, default=12,
@@ -492,7 +492,7 @@ def main(argv=None) -> int:
     p_fz.add_argument(
         "--jitter", action="store_true",
         help="delay messages by seeded, per-channel-FIFO-preserving "
-        "amounts (seeded by each program's own seed; runs sequentially)",
+        "amounts (seeded by each program's own seed)",
     )
     p_fz.add_argument(
         "--store-dir", default=DEFAULT_ROOT,

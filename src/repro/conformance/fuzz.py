@@ -21,19 +21,20 @@ attached to render a violation-anchored event window, delta-debugs the
 program to a minimal reproducer (:mod:`repro.conformance.minimize`),
 and serializes everything as JSON.
 
-The clean path can fan iterations out over worker processes through the
-standard :class:`~repro.harness.spec.ExperimentSpec` / ``run_parallel``
-machinery (``jobs > 1``): ``REPRO_VALUE_CHECK=1`` makes
-:meth:`ExperimentSpec.run` verify fuzz runs in-worker, and any failure
-degrades to the sequential path for diagnosis and minimization.
+A campaign (:func:`fuzz_run`) maps :func:`fuzz_iteration` over its
+seeds, in-process or over a pool of worker processes (``jobs > 1``);
+each iteration is a pure function of its seed, so checking, diagnosis
+and minimization run in the worker and the campaign's summary does not
+depend on ``jobs``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
-import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.conformance.generator import generate
 from repro.conformance.minimize import minimize
@@ -351,54 +352,22 @@ def fuzz_iteration(
     return failures
 
 
-def _parallel_clean_scan(
-    seeds: List[int],
-    n_procs: int,
-    protocols: Sequence[str],
-    jobs: int,
-    traffic_out: Optional[Dict[str, int]] = None,
-) -> Optional[List[int]]:
-    """Try to clear many iterations at once across worker processes.
-
-    Returns the list of seeds that verified clean, or ``None`` if any
-    worker failed (the caller falls back to the sequential path, which
-    diagnoses and minimizes).  Workers verify in-process via
-    ``REPRO_VALUE_CHECK`` (see :meth:`ExperimentSpec.run`).
-    """
-    from repro.harness.runner import ExperimentError, run_parallel
-    from repro.harness.spec import ExperimentSpec
-
-    specs = [
-        ExperimentSpec(
-            app="fuzz",
-            protocol=protocol,
-            n_procs=n_procs,
-            overrides=(("seed", seed), ("cache_size", FUZZ_CACHE)),
-            check_invariants=True,
-        )
-        for seed in seeds
-        for protocol in protocols
-    ]
-    prev = os.environ.get("REPRO_VALUE_CHECK")
-    os.environ["REPRO_VALUE_CHECK"] = "1"
-    try:
-        results = run_parallel(specs, jobs=jobs, store=None, retries=0)
-    except ExperimentError:
-        return None
-    finally:
-        if prev is None:
-            del os.environ["REPRO_VALUE_CHECK"]
-        else:
-            os.environ["REPRO_VALUE_CHECK"] = prev
-    if traffic_out is not None:
-        for result in results.values():
-            _accumulate_traffic(traffic_out, result.traffic)
-    return seeds
-
-
 def _add_traffic(total: Dict[str, int], delta: Optional[Dict[str, int]]) -> None:
+    # Older journals hold ``None`` for iterations cleared without jitter,
+    # where every traffic counter is zero.
     for key in TRAFFIC_KEYS:
         total[key] = total.get(key, 0) + (delta or {}).get(key, 0)
+
+
+def _iteration_outcome(job, **kwargs) -> Tuple[List[dict], Dict[str, int]]:
+    """One campaign iteration as picklable data: ``(failures, traffic)``.
+
+    ``job`` is ``(iteration, seed)``; the same function runs in-process
+    and in pool workers, so the outcome cannot depend on ``jobs``."""
+    iteration, seed = job
+    traffic: Dict[str, int] = {k: 0 for k in TRAFFIC_KEYS}
+    fs = fuzz_iteration(iteration, seed, traffic_out=traffic, **kwargs)
+    return [f.to_dict() for f in fs], traffic
 
 
 def fuzz_run(
@@ -419,6 +388,12 @@ def fuzz_run(
     protocol.  Returns a summary dict; ``summary["failures"]`` is empty
     iff every run agreed with the oracle.
 
+    Every iteration runs through :func:`fuzz_iteration`: in-process for
+    ``jobs == 1``, otherwise mapped in seed order over a pool of
+    ``jobs`` worker processes.  The parent journals, logs and sums the
+    outcomes as they arrive in seed order, so the summary and the log
+    lines do not depend on ``jobs``.
+
     ``jitter`` runs every program on the jitter fabric, seeded by the
     program's own seed; the oracle comparison is unchanged,
     ``summary["traffic"]`` counts the delayed messages, and
@@ -437,100 +412,62 @@ def fuzz_run(
     seeds = [seed + i for i in range(iters)]
     failures: List[dict] = []
 
-    # Journaled outcomes from an interrupted earlier invocation: a plain
-    # per-iteration cell carries that iteration's failures and traffic; a
-    # ``scan-*`` chunk cell carries the aggregate traffic of one parallel
-    # clean scan (per-seed cells from a scan record traffic ``None``).
     prior: Dict[int, dict] = {}
-    scan_traffic: Dict[str, int] = {k: 0 for k in TRAFFIC_KEYS}
     if journal is not None:
         for cell, entry in journal.completed().items():
-            if entry["op"] != "done":
-                continue
-            if cell.startswith("scan-"):
-                _add_traffic(scan_traffic, entry["data"].get("traffic"))
-            elif cell.startswith("iter-"):
+            if entry["op"] == "done" and cell.startswith("iter-"):
                 prior[int(cell[len("iter-"):])] = entry["data"]
         prior = {s: d for s, d in prior.items() if s in set(seeds)}
         if prior:
             say(f"resume: {len(prior)}/{iters} iterations journaled; "
                 f"running the remaining {iters - len(prior)}")
-    remaining = [s for s in seeds if s not in prior]
-    prior_failed = any(d["failures"] for d in prior.values())
+    remaining = [(i, s) for i, s in enumerate(seeds) if s not in prior]
 
-    if jobs > 1:
-        # Workers regenerate programs from the "fuzz" app preset, so the
-        # parallel scan is only equivalent to the sequential path when
-        # the campaign uses the preset generation parameters.
-        from repro.harness.presets import APP_PRESETS
+    run = functools.partial(
+        _iteration_outcome, n_procs=n_procs, n_ops=n_ops,
+        protocols=protocols, mode=mode, do_minimize=do_minimize,
+        window=window, jitter=jitter,
+    )
+    with contextlib.ExitStack() as stack:
+        if jobs > 1 and len(remaining) > 1:
+            from repro.harness.runner import _pool_context
 
-        preset = APP_PRESETS["fuzz"]
-        if n_ops != preset["n_ops"] or mode != preset["mode"]:
-            say("non-default n_ops/mode: running sequentially")
-            jobs = 1
-        elif jitter:
-            # An ExperimentSpec names no delivery mode.
-            say("jitter: running sequentially")
-            jobs = 1
-
-    if jobs > 1 and remaining and not prior_failed:
-        cleared = _parallel_clean_scan(
-            remaining, n_procs, protocols, jobs, traffic_out=traffic
-        )
-        if cleared is not None:
-            if journal is not None:
-                journal.done(
-                    f"scan-{remaining[0]}-{remaining[-1]}",
-                    {"seeds": list(cleared), "traffic": dict(traffic)},
-                )
-                for s in cleared:
-                    journal.done(f"iter-{s}", {"failures": [], "traffic": None})
-            _add_traffic(traffic, scan_traffic)
-            for data in prior.values():
+            # Forked where available, so workers see protocols registered
+            # at run time (as tests register broken ones); the campaign
+            # starts no threads before this point.
+            pool = stack.enter_context(
+                _pool_context().Pool(min(jobs, len(remaining)))
+            )
+            outcomes = pool.imap(run, remaining)
+        else:
+            outcomes = map(run, remaining)
+        for i, it_seed in enumerate(seeds):
+            if it_seed in prior:
+                data = prior[it_seed]
+                failures.extend(data["failures"])
                 _add_traffic(traffic, data.get("traffic"))
-            say(f"{len(remaining)} iterations x {len(protocols)} protocols "
-                f"clean (parallel, {jobs} jobs)")
-            return {"iters": iters, "protocols": list(protocols),
-                    "n_procs": n_procs, "jitter": jitter, "failures": [],
-                    "traffic": traffic}
-        say("parallel scan reported a failure; rerunning sequentially")
-        traffic = {k: 0 for k in TRAFFIC_KEYS}
-
-    _add_traffic(traffic, scan_traffic)
-    for i, it_seed in enumerate(seeds):
-        if it_seed in prior:
-            data = prior[it_seed]
-            failures.extend(data["failures"])
-            _add_traffic(traffic, data.get("traffic"))
-            continue
-        cell = f"iter-{it_seed}"
-        if journal is not None:
-            journal.start(cell)
-        it_traffic: Dict[str, int] = {k: 0 for k in TRAFFIC_KEYS}
-        fs = fuzz_iteration(
-            i, it_seed, n_procs, n_ops, protocols,
-            mode=mode, do_minimize=do_minimize, window=window,
-            jitter=jitter, traffic_out=it_traffic,
-        )
-        _add_traffic(traffic, it_traffic)
-        fs_dicts = [f.to_dict() for f in fs]
-        if journal is not None:
-            journal.done(cell, {"failures": fs_dicts, "traffic": it_traffic})
-        if fs:
-            failures.extend(fs_dicts)
+                continue
+            cell = f"iter-{it_seed}"
+            if journal is not None:
+                journal.start(cell)
+            fs, it_traffic = next(outcomes)
+            _add_traffic(traffic, it_traffic)
+            if journal is not None:
+                journal.done(cell, {"failures": fs, "traffic": it_traffic})
+            failures.extend(fs)
             for f in fs:
-                mini = f.minimized
+                mini = f["minimized"]
                 say(
-                    f"iteration {i} (seed {it_seed}) {f.protocol}: "
-                    f"{f.reason}: {f.message}"
+                    f"iteration {i} (seed {it_seed}) {f['protocol']}: "
+                    f"{f['reason']}: {f['message']}"
                     + (
                         f" [minimized to "
                         f"{ProgramSpec.from_dict(mini).op_count()} ops]"
                         if mini else ""
                     )
                 )
-        elif (i + 1) % 10 == 0:
-            say(f"{i + 1}/{iters} iterations clean")
+            if not fs and (i + 1) % 10 == 0:
+                say(f"{i + 1}/{iters} iterations clean")
     return {
         "iters": iters,
         "protocols": list(protocols),

@@ -93,8 +93,10 @@ class MachineConfig:
     """A complete, declarative machine description.
 
     Consolidates the loose keyword arguments :class:`Machine` grew over
-    time — one value object names every knob, can be compared, copied
-    with :func:`dataclasses.replace`, and built from (:meth:`build`).
+    time — one value object names every knob the harness and the public
+    API set, can be compared, copied with :func:`dataclasses.replace`,
+    and built from (:meth:`build`).  The fuzzer's value model and delivery
+    jitter are :class:`Machine` arguments only.
     The harness (:class:`repro.harness.spec.ExperimentSpec`) and the
     public API (:func:`repro.core.api.run_app`) both construct machines
     through this type rather than spelling kwargs at each call site.
@@ -108,7 +110,6 @@ class MachineConfig:
     check_invariants: bool = False
     trace_capacity: int = 1 << 16
     check_level: str = "sync"
-    value_model: bool = False
     stall_cycles: Optional[int] = None
 
     def build(self) -> "Machine":

@@ -191,8 +191,8 @@ class ExperimentSpec:
 
     def machine_config(self, shards: int = 1):
         """The :class:`~repro.core.machine.MachineConfig` this spec
-        describes, with the observation-only environment toggles
-        (``REPRO_CHECK_INVARIANTS``, ``REPRO_VALUE_CHECK``) resolved."""
+        describes, with the observation-only ``REPRO_CHECK_INVARIANTS``
+        toggle resolved."""
         # The engine is serial; shards=1 stays accepted for existing callers.
         if shards != 1:
             raise ValueError(f"the simulator is serial; shards={shards}")
@@ -203,19 +203,11 @@ class ExperimentSpec:
         check = self.check_invariants or os.environ.get(
             "REPRO_CHECK_INVARIANTS", ""
         ) not in ("", "0")
-        # Value checking only exists for the conformance workload: its
-        # programs are DRF by construction, which is what licenses the
-        # oracle comparison (DESIGN.md §9).  Observation-only, like the
-        # invariant checker, so it stays outside the fingerprint.
-        value_check = self.app == "fuzz" and os.environ.get(
-            "REPRO_VALUE_CHECK", ""
-        ) not in ("", "0")
         return MachineConfig(
             config=self.config(),
             protocol=self.protocol,
             classify=self.classify,
             check_invariants=check,
-            value_model=value_check,
         )
 
     def stream_key(self) -> str:
@@ -241,22 +233,12 @@ class ExperimentSpec:
         """Execute this spec on a fresh machine (no result caching).
 
         Pure: equal specs produce bit-identical :class:`RunResult`
-        numbers (the invariant checker and value model, when enabled,
-        only observe).  The recorded stream comes from the in-process
-        memo or the default store when either has it.  Callers wanting
-        result memoization go through
-        :func:`repro.harness.experiments.run_spec`.
+        numbers (the invariant checker, when enabled, only observes).
+        The recorded stream comes from the in-process memo or the
+        default store when either has it.  Callers wanting result
+        memoization go through :func:`repro.harness.experiments.run_spec`.
         """
         from repro.results.store import default_store
 
-        mc = self.machine_config()
-        machine = mc.build()
-        result = machine.replay(self.recorded_stream(store=default_store()))
-        if mc.value_model:
-            from repro.apps import APPS
-            from repro.apps.common import AppContext
-            from repro.conformance.fuzz import verify_run
-
-            app = APPS[self.app](AppContext(mc.config), **self.app_params())
-            verify_run(machine, app)
-        return result
+        machine = self.machine_config().build()
+        return machine.replay(self.recorded_stream(store=default_store()))

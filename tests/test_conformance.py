@@ -265,22 +265,50 @@ class TestMinimize:
 
 
 # ---------------------------------------------------------------------------
-# ExperimentSpec integration (the parallel clean-scan path)
+# Worker-pool campaigns
 # ---------------------------------------------------------------------------
 
+class TestPooledCampaign:
+    """``jobs`` only chooses where :func:`fuzz_iteration` runs: a pooled
+    campaign's summary equals the in-process one's exactly.  A broken
+    protocol fails every program, so the summaries carry each
+    iteration's program, trace window and minimized reproducer."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"mode": "auto"},
+        {"mode": "service"},
+        {"jitter": True},
+    ], ids=["auto", "service", "jitter"])
+    def test_pool_equals_in_process(self, kwargs, monkeypatch):
+        monkeypatch.setitem(REGISTRY, BrokenReleaseLRC.name, BrokenReleaseLRC)
+        args = dict(seed=3, iters=3, n_procs=4, n_ops=30,
+                    protocols=("lrc", BrokenReleaseLRC.name), **kwargs)
+        pooled = fuzz_run(jobs=2, **args)
+        assert [f["seed"] for f in pooled["failures"]] == [3, 4, 5]
+        assert all(f["minimized"] and f["trace_window"]
+                   for f in pooled["failures"])
+        assert pooled == fuzz_run(jobs=1, **args)
+
+    def test_resume_with_more_jobs_equals_uninterrupted(self, tmp_path, monkeypatch):
+        from repro.results.journal import CampaignJournal
+
+        monkeypatch.setitem(REGISTRY, BrokenReleaseLRC.name, BrokenReleaseLRC)
+        args = dict(seed=5, iters=4, n_procs=4, n_ops=30, jitter=True,
+                    protocols=("lrc", BrokenReleaseLRC.name))
+        journal = CampaignJournal.for_campaign(tmp_path, "fuzz", {"seed": 5})
+        full = fuzz_run(jobs=1, journal=journal, **args)
+        # Cut the journal after the second iteration's outcome, as a
+        # campaign killed there would leave it.
+        lines = journal.path.read_text().splitlines(keepends=True)
+        done = [i for i, line in enumerate(lines) if '"op":"done"' in line]
+        journal.path.write_text("".join(lines[: done[1] + 1]))
+        log = []
+        resumed = fuzz_run(jobs=2, journal=journal, log=log.append, **args)
+        assert "resume: 2/4 iterations journaled" in log[0]
+        assert resumed == full
+
+
 class TestSpecIntegration:
-    def test_value_check_env_verifies_in_run(self, monkeypatch):
-        from repro.harness.spec import ExperimentSpec
-
-        monkeypatch.setenv("REPRO_VALUE_CHECK", "1")
-        spec = ExperimentSpec(
-            app="fuzz", protocol="lrc", n_procs=4,
-            overrides=(("seed", 5), ("cache_size", 2048)),
-            check_invariants=True,
-        )
-        r = spec.run()
-        assert r.exec_time > 0
-
     def test_fuzz_fingerprint_keyed_by_seed(self):
         from repro.harness.spec import ExperimentSpec
 

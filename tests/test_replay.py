@@ -144,15 +144,6 @@ class TestDifferential:
         checked = spec.run().to_dict()
         assert checked == plain
 
-    def test_value_checked_replay_equals_unchecked(self, monkeypatch):
-        # REPRO_VALUE_CHECK only arms the value model for the DRF fuzz
-        # workload; any other app runs exactly as without it.
-        spec = small_spec("gauss", "sc")
-        plain = spec.run().to_dict()
-        monkeypatch.setenv("REPRO_VALUE_CHECK", "1")
-        assert not spec.machine_config().value_model
-        assert spec.run().to_dict() == plain
-
     # Resumed spans: a tail re-promoted after a miss, an upgrade, a cold
     # buffer entry or a write-buffer stall must hit the quantum-deadline
     # split on both parities.  An odd small quantum makes it do so often;
