@@ -66,9 +66,9 @@ class Node:
         self.cache = Cache(config, node_id)
         self.wb: Optional[WriteBuffer] = None        # set by protocol
         self.cbuf: Optional[CoalescingBuffer] = None  # set by lazy protocols
-        self.pp = Resource(f"pp[{node_id}]")
-        self.bus = Resource(f"bus[{node_id}]")
-        self.mem = MemoryModule(config, node_id)
+        self.pp = Resource()
+        self.bus = Resource()
+        self.mem = MemoryModule(config)
         self.directory = None                         # set by protocol
         self.stats = stats
         self.proc = None                              # set by machine
@@ -153,7 +153,7 @@ class Node:
             self.tracer.emit("txn_done", self.id, t=t, out=self.out_count)
         if self.out_count < 0:
             raise RuntimeError(f"node {self.id}: negative outstanding count")
-        if self.out_count == 0:
+        if self.out_count == 0 and self.release_cb is not None:
             self.check_release(t)
 
     def check_release(self, t: int) -> None:

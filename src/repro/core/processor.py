@@ -92,6 +92,7 @@ class Processor:
         "_block_t",
         "_block_bucket",
         "_wt_words",
+        "_wake",
     )
 
     def __init__(self, node, machine) -> None:
@@ -116,12 +117,14 @@ class Processor:
         # Lazy protocols expose the coalescing buffer's word map so the
         # steady-state write path (RW line, live entry) stays inline.
         self._wt_words = node.cbuf.words if node.cbuf is not None else None
+        # run_quantum bound once: every wake-up schedules this object.
+        self._wake = self.run_quantum
 
     def start(self, mops: list) -> None:
         """Load a micro-program and schedule its first quantum at cycle 0."""
         self._mops = mops
         self._n = len(mops)
-        self.sim.at(0, self.run_quantum)
+        self.sim.at(0, self._wake)
 
     # -- blocking ------------------------------------------------------------------
 
@@ -167,10 +170,9 @@ class Processor:
             st.wb_stall += stall
         else:
             st.sync_stall += stall
-        if t <= self.sim.now:
-            self.sim.at(self.sim.now, self.run_quantum)
-        else:
-            self.sim.at(t, self.run_quantum)
+        sim = self.sim
+        now = sim.now
+        sim.at(t if t > now else now, self._wake)
 
     def complete_pending_write(self) -> None:
         """Mark the blocked write op as performed (SC ownership grant).
@@ -316,7 +318,7 @@ class Processor:
                                         SPAN_CONT, block, base, count, stride, words, j, kind,
                                         BATCH,
                                     )
-                                    sim.at(t, self.run_quantum)
+                                    sim.at(t, self._wake)
                                     return
                                 break
                         # Element j alone: the per-element step.
@@ -381,7 +383,7 @@ class Processor:
                             self._pending = (
                                 SPAN_CONT, block, base, count, stride, words, j, kind, BATCH,
                             )
-                            sim.at(t, self.run_quantum)
+                            sim.at(t, self._wake)
                             return
 
                 # -- scalar ops ------------------------------------------------
@@ -392,7 +394,7 @@ class Processor:
                     else:
                         done_now = deadline - t
                         self._pending = (COMPUTE, c - done_now)
-                        sim.at(deadline, self.run_quantum)
+                        sim.at(deadline, self._wake)
                         return
 
                 elif kind == READ:
@@ -481,7 +483,7 @@ class Processor:
 
                 if t >= deadline:
                     self._pending = None
-                    sim.at(t, self.run_quantum)
+                    sim.at(t, self._wake)
                     return
 
         finally:

@@ -7,18 +7,19 @@ is reached.
 
 The serial simulator *is* its event queue: :meth:`Simulator.at` and
 :meth:`Simulator.deliver_remote` are the queue's own ``push`` and
-``push_remote``, so scheduling an event costs one call and builds the
-key in the one place each lane's key is defined.  Cross-node deliveries
-carry the canonical remote-lane key ``(time, src, src_seq)`` (see
-:mod:`repro.engine.events`), the order the golden fixtures encode.
+``push_remote``, so scheduling an event costs one call.  A cross-node
+message's remote-lane entry *is* its arrival (entry layouts in
+:mod:`repro.engine.events`): the loop itself books the receive NIC, in
+the canonical ``(time, src, src_seq)`` order the golden fixtures encode,
+and calls the handler directly, with no trampoline event in between.
 """
 
 from __future__ import annotations
 
-from heapq import heappop
+from heapq import heappop, heappush
 from typing import Any, Callable
 
-from repro.engine.events import EventQueue
+from repro.engine.events import LANE_LOCAL, EventQueue
 
 
 class DeadlockError(RuntimeError):
@@ -46,9 +47,9 @@ class Simulator(EventQueue):
     #: absolute ``time``; scheduling in the past raises.
     at = EventQueue.push
 
-    #: ``deliver_remote(time, src, src_seq, callback, args)``: schedule
-    #: a cross-node arrival with the canonical remote-lane key
-    #: ``(time, src, src_seq)``.
+    #: ``deliver_remote(time, src, src_seq, handler, args, nic, dst,
+    #: occ)``: schedule a cross-node arrival with the canonical
+    #: remote-lane key ``(time, src, src_seq)``.
     deliver_remote = EventQueue.push_remote
 
     def after(self, delay: int, callback: Callable, *args: Any) -> None:
@@ -56,20 +57,42 @@ class Simulator(EventQueue):
         self.at(self.now + delay, callback, *args)
 
     def run(self) -> int:
-        """Drain the event queue; return the final simulated time."""
+        """Drain the event queue; return the final simulated time.
+
+        A remote-lane entry is one arrival event: it books the receive
+        NIC ``nic[dst]`` (busy-until, like every resource) and calls
+        ``handler(t, *args)`` at once if the NIC is free, or defers the
+        hand-off to a local-lane event at the time it frees.
+        """
         heap = self._heap
         hook = self.post_event_hook
         max_cycles = self.max_cycles
         n = 0
         try:
             while heap:
-                time, _lane, _k1, _k2, _seq, callback, args = heappop(heap)
+                entry = heappop(heap)
+                time = entry[0]
                 if time > max_cycles:
                     raise RuntimeError(
                         f"simulation exceeded max_cycles={self.max_cycles}"
                     )
                 self.now = time
-                callback(*args)
+                if entry[1]:
+                    _t, _lane, _src, _sseq, handler, args, nic, dst, occ = entry
+                    free = nic[dst]
+                    if free <= time:
+                        nic[dst] = time + occ
+                        handler(time, *args)
+                    else:
+                        nic[dst] = free + occ
+                        seq = self._seq
+                        self._seq = seq + 1
+                        heappush(
+                            heap,
+                            (free, LANE_LOCAL, seq, handler, (free, *args)),
+                        )
+                else:
+                    entry[3](*entry[4])
                 n += 1
                 if hook is not None:
                     hook()

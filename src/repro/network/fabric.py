@@ -14,11 +14,14 @@ is handed to the destination protocol processor no earlier than the
 receive NIC frees up.
 
 Delivery is two-phase (DESIGN.md §14): the send books only the source
-NIC and computes the wire-arrival time; the receive NIC is booked by an
-arrival event carried on the remote lane of the event queue, keyed
-``(arrival, src, src_seq)``.  Receive-side contention is therefore
-resolved in canonical arrival order — never in the order sends happened
-to execute — which is the order the golden fixtures encode.
+NIC and computes the wire-arrival time; the message's remote-lane entry
+in the event queue, keyed ``(arrival, src, src_seq)``, *is* its arrival.
+It carries the handler and arguments, the receive-NIC list, ``dst`` and
+the occupancy, and the event loop books the receive NIC when it pops the
+entry (:meth:`repro.engine.simulator.Simulator.run`).  Receive-side
+contention is therefore resolved in canonical arrival order — never in
+the order sends happened to execute — which is the order the golden
+fixtures encode.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 from typing import Any, Callable, List
 
 from repro.config import SystemConfig
+from repro.engine.events import LANE_REMOTE
 from repro.engine.simulator import Simulator
 from repro.network.messages import DATA_BEARING, MessageStats, MsgType
 
@@ -62,35 +66,26 @@ class Fabric:
         # Incremented in the sender's own (deterministic) execution order,
         # so the key never depends on cross-node event interleaving.
         self._sseq: List[int] = [0] * n
-        # Hot-path constants and bound methods hoisted out of send().
+        # Hot-path constants hoisted out of send(): the payload size of
+        # every message type, and the NIC occupancy of every payload size
+        # up to a line (size 0 is a header-only control message).
         self._hop_lat = config.hop_latency
-        self._line = config.line_size
-        self._line_occ = config.nic_occupancy(config.line_size)
-        self._ctl_occ = config.nic_occupancy(0)
-        self._arrive_cb = self._arrive
-        self._deliver_remote = sim.deliver_remote
+        self._size = [
+            config.line_size if m in DATA_BEARING else 0 for m in MsgType
+        ]
+        self._occ = [
+            config.nic_occupancy(size) for size in range(config.line_size + 1)
+        ]
+        self._count = self.stats.count
+        self._bytes = self.stats.bytes
+        # The remote-lane push of a message's arrival entry.  The jitter
+        # fabric rebinds it to delay arrivals (repro.network.jitter).
+        self._deliver_remote = sim.remote_pusher()
         # Event tracer (set by Machine when tracing is on).
         self.tracer = None
 
     def payload_size(self, mtype: MsgType) -> int:
-        return self._line if mtype in DATA_BEARING else 0
-
-    def occupancy(self, size: int) -> int:
-        """NIC occupancy of a message with ``size`` payload bytes."""
-        if not size:
-            return self._ctl_occ
-        if size == self._line:
-            return self._line_occ
-        return self.config.nic_occupancy(size)
-
-    @staticmethod
-    def _book(nic: List[int], node: int, t: int, occ: int) -> int:
-        """Book ``nic[node]`` at or after ``t`` for ``occ`` cycles; return
-        the start of service (``send`` and ``_arrive`` inline this)."""
-        free = nic[node]
-        start = t if t >= free else free
-        nic[node] = start + occ
-        return start
+        return self._size[mtype]
 
     def send(
         self,
@@ -111,10 +106,9 @@ class Fabric:
         contention, resolved at arrival.
         """
         if size < 0:
-            size = self._line if mtype in DATA_BEARING else 0
-        stats = self.stats
-        stats.count[mtype] += 1
-        stats.bytes[mtype] += size
+            size = self._size[mtype]
+        self._count[mtype] += 1
+        self._bytes[mtype] += size
         if src == dst:
             # Local delivery: no network traversal, only the protocol
             # processor hand-off (modeled by the handler's own costs).
@@ -130,12 +124,9 @@ class Fabric:
         dx = x[src] - x[dst]
         dy = y[src] - y[dst]
         hops = (dx if dx >= 0 else -dx) + (dy if dy >= 0 else -dy)
-        stats.total_hops += hops
+        self.stats.total_hops += hops
+        occ = self._occ[size]
         if size:
-            if size == self._line:
-                occ = self._line_occ
-            else:
-                occ = self.config.nic_occupancy(size)
             out = self.data_out
             free = out[src]
             start = t if t >= free else free
@@ -143,7 +134,6 @@ class Fabric:
             arrival = start + self._hop_lat * hops + occ
             chan = self.data_in
         else:
-            occ = self._ctl_occ
             out = self.ctl_out
             free = out[src]
             start = t if t >= free else free
@@ -158,32 +148,6 @@ class Fabric:
         sseq = self._sseq[src]
         self._sseq[src] = sseq + 1
         self._deliver_remote(
-            arrival, src, sseq, self._arrive_cb,
-            (chan, dst, occ, handler, args),
+            (arrival, LANE_REMOTE, src, sseq, handler, args, chan, dst, occ)
         )
         return arrival
-
-    def _arrive(
-        self,
-        chan: List[int],
-        dst: int,
-        occ: int,
-        handler: Callable,
-        args: tuple,
-    ) -> None:
-        """Arrival phase: book the receive NIC ``chan[dst]``, then hand off.
-
-        Runs as a remote-lane event at the wire-arrival time, so the
-        receive NIC is contended in canonical arrival order regardless of
-        the order the sends executed in.
-        """
-        sim = self.sim
-        t = sim.now
-        free = chan[dst]
-        if free <= t:
-            chan[dst] = t + occ
-            handler(t, *args)
-        else:
-            chan[dst] = free + occ
-            sim.at(free, handler, free, *args)
-

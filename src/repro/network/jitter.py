@@ -12,8 +12,9 @@ FIFO holds without sequence numbers or a reorder buffer.
 Each source node draws from its own PRNG, seeded from ``(seed, node)``,
 so a node's jitter schedule depends only on its own send order, never
 on cross-node event interleaving.  The subclass only rebinds the
-``_deliver_remote`` hook that :meth:`Fabric.send` already calls; the
-plain fabric's send path is untouched.
+``_deliver_remote`` hook that :meth:`Fabric.send` already calls with
+each message's remote-lane arrival entry (:mod:`repro.engine.events`);
+the plain fabric's send path is untouched.
 """
 
 from __future__ import annotations
@@ -46,18 +47,18 @@ class JitterFabric(Fabric):
         ]
         # Last arrival per (src, dst, is-data-channel): the FIFO clamp.
         self._last: dict = {}
-        self._push_remote = self._deliver_remote
         self._deliver_remote = self._jitter
 
-    def _jitter(self, arrival, src, sseq, callback, payload) -> None:
+    def _jitter(self, entry: tuple) -> None:
+        arrival, _lane, src, sseq, handler, args, nic, dst, occ = entry
         rng = self._rngs[src]
         if rng.random() < self.rate:
             arrival += rng.randint(1, JITTER_CYCLES)
             self.stats.delays_injected += 1
-        # payload = (receive-NIC list, dst, ...); the list is the channel.
-        key = (src, payload[1], payload[0] is self.data_in)
+        # The receive-NIC list names the channel.
+        key = (src, dst, nic is self.data_in)
         last = self._last.get(key, 0)
         if arrival < last:
             arrival = last
         self._last[key] = arrival
-        self._push_remote(arrival, src, sseq, callback, payload)
+        self.sim.deliver_remote(arrival, src, sseq, handler, args, nic, dst, occ)

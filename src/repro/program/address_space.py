@@ -57,21 +57,27 @@ class Segment:
         return f"Segment({self.name!r}, base={self.base:#x}, size={self.size})"
 
 
-class BlockHomeLookup:
-    """``block -> home node id`` map (hot-path callable).
+class BlockHomeLookup(dict):
+    """``block -> home node id`` map, memoised per block.
 
-    Holds the *live* ``page_home`` list by reference — it grows as the
-    space allocates — plus the constant block→page shift.
+    Holds the *live* ``page_home`` dict by reference — it grows as the
+    space allocates — plus the constant block→page shift.  A block's
+    home is computed from its page on first lookup and stored: a page's
+    home is fixed when the page is allocated, so the memo never goes
+    stale.  The hot path calls the bound ``__getitem__``, a C-level dict
+    lookup with no Python frame once the block has been seen.
     """
 
     __slots__ = ("page_home", "shift")
 
-    def __init__(self, page_home: List[int], shift: int) -> None:
+    def __init__(self, page_home: Dict[int, int], shift: int) -> None:
+        super().__init__()
         self.page_home = page_home
         self.shift = shift
 
-    def __call__(self, block: int) -> int:
-        return self.page_home[block >> self.shift]
+    def __missing__(self, block: int) -> int:
+        home = self[block] = self.page_home[block >> self.shift]
+        return home
 
 
 class AddressSpace:
@@ -143,7 +149,8 @@ class AddressSpace:
         so allocations made after the lookup was built are still visible
         through it.
         """
-        return BlockHomeLookup(self.page_home, self._page_shift - self._line_shift)
+        lookup = BlockHomeLookup(self.page_home, self._page_shift - self._line_shift)
+        return lookup.__getitem__
 
     @property
     def bytes_allocated(self) -> int:

@@ -59,6 +59,8 @@ class Protocol:
         self._n = machine.config.n_procs
         # Bus time of a line fill, paid on every miss reply.
         self._line_bus_time = self.cfg.bus_time(self.cfg.line_size)
+        # Lock/barrier/flag manager occupancy per message.
+        self._lock_cost = self.cfg.lock_mgr_cost
 
     # -- construction hooks -------------------------------------------------------
 
@@ -140,9 +142,12 @@ class Protocol:
     # =====================================================================
     # Locks
     # =====================================================================
-
-    def lock_home(self, lock_id: int) -> int:
-        return lock_id % self._n
+    #
+    # A lock, barrier or flag is managed at node ``id % n_procs``.  Every
+    # manager handler books its home's protocol processor inline
+    # (busy-until ``pp.free_at``, the rule of Resource.reserve).  Manager
+    # state is a dict with one shape per kind, always carrying ``"ts"``:
+    # the max release timestamp seen (timestamp coherence; 0 otherwise).
 
     def cpu_acquire(self, node, t: int, lock_id: int) -> None:
         # Start invalidating already-received notices in parallel with the
@@ -151,7 +156,7 @@ class Protocol:
         node.acq_inv_done = self._process_pending_invals(node, t)
         self.fabric.send(
             node.id,
-            self.lock_home(lock_id),
+            lock_id % self._n,
             LOCK_REQ,
             t,
             self._h_lock_req,
@@ -160,8 +165,11 @@ class Protocol:
         )
 
     def _h_lock_req(self, t: int, lock_id: int, requester: int) -> None:
-        home = self.nodes[self.lock_home(lock_id)]
-        tp = home.pp.reserve(t, self.cfg.lock_mgr_cost)
+        home = self.nodes[lock_id % self._n]
+        pp = home.pp
+        free = pp.free_at
+        tp = (t if t >= free else free) + self._lock_cost
+        pp.free_at = tp
         st = home.lock_state.get(lock_id)
         if st is None:
             st = {"held": False, "queue": deque(), "ts": 0}
@@ -175,7 +183,7 @@ class Protocol:
         else:
             st["queue"].append(requester)
 
-    def _h_lock_grant(self, t: int, requester: int, ts: int = 0) -> None:
+    def _h_lock_grant(self, t: int, requester: int, ts: int) -> None:
         node = self.nodes[requester]
         self._apply_sync_ts(node, ts)
         # Finish invalidations: those started at acquire time may still be
@@ -189,7 +197,7 @@ class Protocol:
         def done(t2: int) -> None:
             self.fabric.send(
                 node.id,
-                self.lock_home(lock_id),
+                lock_id % self._n,
                 LOCK_RELEASE,
                 t2,
                 self._h_lock_release,
@@ -200,17 +208,20 @@ class Protocol:
 
         self._pre_release(node, t, self._guard_release(node, done))
 
-    def _h_lock_release(self, t: int, lock_id: int, ts: int = 0) -> None:
-        home = self.nodes[self.lock_home(lock_id)]
-        tp = home.pp.reserve(t, self.cfg.lock_mgr_cost)
+    def _h_lock_release(self, t: int, lock_id: int, ts: int) -> None:
+        home = self.nodes[lock_id % self._n]
+        pp = home.pp
+        free = pp.free_at
+        tp = (t if t >= free else free) + self._lock_cost
+        pp.free_at = tp
         st = home.lock_state[lock_id]
-        if ts > st.get("ts", 0):
+        if ts > st["ts"]:
             st["ts"] = ts
         if st["queue"]:
             nxt = st["queue"].popleft()
             self.fabric.send(
                 home.id, nxt, LOCK_GRANT, tp, self._h_lock_grant,
-                nxt, st.get("ts", 0),
+                nxt, st["ts"],
             )
         else:
             st["held"] = False
@@ -223,7 +234,7 @@ class Protocol:
         def arrived(t2: int) -> None:
             self.fabric.send(
                 node.id,
-                self.lock_home(barrier_id),
+                barrier_id % self._n,
                 BARRIER_ARRIVE,
                 t2,
                 self._h_barrier_arrive,
@@ -234,29 +245,36 @@ class Protocol:
 
         self._pre_release(node, t, self._guard_release(node, arrived))
 
-    def _h_barrier_arrive(self, t: int, barrier_id: int, src: int, ts: int = 0) -> None:
-        home = self.nodes[self.lock_home(barrier_id)]
-        tp = home.pp.reserve(t, self.cfg.lock_mgr_cost)
+    def _h_barrier_arrive(self, t: int, barrier_id: int, src: int, ts: int) -> None:
+        home = self.nodes[barrier_id % self._n]
+        pp = home.pp
+        free = pp.free_at
+        tp = (t if t >= free else free) + self._lock_cost
+        pp.free_at = tp
         st = home.barrier_state.get(barrier_id)
         if st is None:
             st = {"waiters": deque(), "ts": 0}
             home.barrier_state[barrier_id] = st
-        st["waiters"].append(src)
-        if ts > st.get("ts", 0):
+        waiters = st["waiters"]
+        waiters.append(src)
+        if ts > st["ts"]:
             st["ts"] = ts
-        if len(st["waiters"]) == self._n:
+        if len(waiters) == self._n:
             # Releases go out one at a time through the manager's protocol
-            # processor — the natural serialization skew of a central
-            # barrier.
-            for w in st["waiters"]:
-                tg = home.pp.reserve(tp, self.cfg.lock_mgr_cost)
+            # processor, back to back from tp — the natural serialization
+            # skew of a central barrier.
+            ts = st["ts"]
+            tg = tp
+            for w in waiters:
+                tg += self._lock_cost
                 self.fabric.send(
                     home.id, w, BARRIER_EXIT, tg, self._h_barrier_exit,
-                    w, st.get("ts", 0),
+                    w, ts,
                 )
-            st["waiters"].clear()
+            pp.free_at = tg
+            waiters.clear()
 
-    def _h_barrier_exit(self, t: int, target: int, ts: int = 0) -> None:
+    def _h_barrier_exit(self, t: int, target: int, ts: int) -> None:
         node = self.nodes[target]
         self._apply_sync_ts(node, ts)
         t2 = self._process_pending_invals(node, t)
@@ -267,13 +285,21 @@ class Protocol:
     # Flags: pairwise producer/consumer synchronization
     # =====================================================================
 
+    def _flag_state(self, home, flag_id: int) -> dict:
+        """The flag manager's state for ``flag_id`` at ``home``."""
+        st = home.lock_state.get(("f", flag_id))
+        if st is None:
+            st = {"set": False, "waiters": deque(), "ts": 0}
+            home.lock_state[("f", flag_id)] = st
+        return st
+
     def cpu_set_flag(self, node, t: int, flag_id: int) -> None:
         """Release semantics, then set the flag at its home node."""
 
         def done(t2: int) -> None:
             self.fabric.send(
                 node.id,
-                self.lock_home(flag_id),
+                flag_id % self._n,
                 FLAG_SET,
                 t2,
                 self._h_flag_set,
@@ -284,21 +310,23 @@ class Protocol:
 
         self._pre_release(node, t, self._guard_release(node, done))
 
-    def _h_flag_set(self, t: int, flag_id: int, ts: int = 0) -> None:
-        home = self.nodes[self.lock_home(flag_id)]
-        tp = home.pp.reserve(t, self.cfg.lock_mgr_cost)
-        st = home.lock_state.setdefault(
-            ("f", flag_id), {"set": False, "waiters": deque(), "ts": 0}
-        )
+    def _h_flag_set(self, t: int, flag_id: int, ts: int) -> None:
+        home = self.nodes[flag_id % self._n]
+        pp = home.pp
+        free = pp.free_at
+        tp = (t if t >= free else free) + self._lock_cost
+        pp.free_at = tp
+        st = self._flag_state(home, flag_id)
         st["set"] = True
-        if ts > st.get("ts", 0):
+        if ts > st["ts"]:
             st["ts"] = ts
+        ts = st["ts"]
         for w in st["waiters"]:
-            tp = home.pp.reserve(tp, self.cfg.lock_mgr_cost)
+            tp += self._lock_cost
             self.fabric.send(
-                home.id, w, FLAG_GRANT, tp, self._h_flag_granted,
-                w, st.get("ts", 0),
+                home.id, w, FLAG_GRANT, tp, self._h_flag_granted, w, ts,
             )
+        pp.free_at = tp
         st["waiters"].clear()
 
     def cpu_wait_flag(self, node, t: int, flag_id: int) -> None:
@@ -306,7 +334,7 @@ class Protocol:
         node.acq_inv_done = self._process_pending_invals(node, t)
         self.fabric.send(
             node.id,
-            self.lock_home(flag_id),
+            flag_id % self._n,
             FLAG_WAIT,
             t,
             self._h_flag_wait,
@@ -315,20 +343,21 @@ class Protocol:
         )
 
     def _h_flag_wait(self, t: int, flag_id: int, requester: int) -> None:
-        home = self.nodes[self.lock_home(flag_id)]
-        tp = home.pp.reserve(t, self.cfg.lock_mgr_cost)
-        st = home.lock_state.setdefault(
-            ("f", flag_id), {"set": False, "waiters": deque()}
-        )
+        home = self.nodes[flag_id % self._n]
+        pp = home.pp
+        free = pp.free_at
+        tp = (t if t >= free else free) + self._lock_cost
+        pp.free_at = tp
+        st = self._flag_state(home, flag_id)
         if st["set"]:
             self.fabric.send(
                 home.id, requester, FLAG_GRANT, tp, self._h_flag_granted,
-                requester, st.get("ts", 0),
+                requester, st["ts"],
             )
         else:
             st["waiters"].append(requester)
 
-    def _h_flag_granted(self, t: int, requester: int, ts: int = 0) -> None:
+    def _h_flag_granted(self, t: int, requester: int, ts: int) -> None:
         node = self.nodes[requester]
         self._apply_sync_ts(node, ts)
         t2 = t if t >= node.acq_inv_done else node.acq_inv_done

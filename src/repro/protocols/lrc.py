@@ -52,6 +52,20 @@ class LRCProtocol(Protocol):
     wb_coalesce_states = frozenset((INVALID,))  # RO upgrades, RW uses the cbuf
     dir_cost_attr = "lrc_dir_cost"
 
+    def __init__(self, machine) -> None:
+        super().__init__(machine)
+        cfg = self.cfg
+        # Hot-path costs hoisted out of the handlers, which book the
+        # protocol processor, bus and memory ports inline (busy-until
+        # ``free_at``, the rule of Resource.reserve).
+        self._dir_cost = cfg.lrc_dir_cost
+        self._notice_cost = cfg.notice_cost
+        self._word_size = cfg.word_size
+        # Memory-port time of an access of every payload size up to a
+        # line (write-throughs carry only their dirty words).
+        self._mem_time = [cfg.memory_time(size) for size in range(cfg.line_size + 1)]
+        self._mem_line_time = self._mem_time[cfg.line_size]
+
     def make_directory(self):
         return LazyDirectory()
 
@@ -179,9 +193,13 @@ class LRCProtocol(Protocol):
         drain continuously — up to DRAIN_WIDTH flushes in flight — so
         releases only wait for a short tail instead of the whole buffer.
         """
-        while node.wt_drain_busy < self.DRAIN_WIDTH and len(node.cbuf) >= 2:
-            head = node.cbuf.order[0]
-            words = node.cbuf.remove(head)
+        cbuf = node.cbuf
+        order = cbuf.order
+        if len(order) < 2:
+            return
+        while node.wt_drain_busy < self.DRAIN_WIDTH and len(order) >= 2:
+            head = order[0]
+            words = cbuf.remove(head)
             node.wt_drain_busy += 1
             self._flush_words(node, t, head, words, background=True)
 
@@ -190,21 +208,23 @@ class LRCProtocol(Protocol):
     ) -> None:
         """Write dirty words through to the home memory (asks for an ack)."""
         node.txn_start()
-        node.wt_inflight[block] = node.wt_inflight.get(block, 0) + 1
+        inflight = node.wt_inflight
+        inflight[block] = inflight.get(block, 0) + 1
         self.stats.write_throughs += 1
-        size = len(words) * self.cfg.word_size
+        size = len(words) * self._word_size
         vm = self.machine.valmodel
+        nid = node.id
         self.fabric.send(
-            node.id,
+            nid,
             self.home_of(block),
             WRITE_THROUGH,
             t,
             self._h_write_through,
             block,
-            node.id,
+            nid,
             size,
             background,
-            vm.flush_capture(node.id, block, words) if vm is not None else None,
+            vm.flush_capture(nid, block, words) if vm is not None else None,
             size=size,
         )
 
@@ -215,7 +235,10 @@ class LRCProtocol(Protocol):
         vm = self.machine.valmodel
         if vm is not None:
             vm.apply_home(block, data)
-        tm = home.mem.write(t, size)
+        wr = home.mem.wr
+        free = wr.free_at
+        tm = (t if t >= free else free) + self._mem_time[size]
+        wr.free_at = tm
         self.fabric.send(
             home.id, src, ACK, tm, self._h_wt_ack, src, background, block
         )
@@ -225,11 +248,12 @@ class LRCProtocol(Protocol):
         node.txn_done(t)
         if background:
             node.wt_drain_busy -= 1
-        left = node.wt_inflight[block] - 1
+        inflight = node.wt_inflight
+        left = inflight[block] - 1
         if left:
-            node.wt_inflight[block] = left
+            inflight[block] = left
         else:
-            del node.wt_inflight[block]
+            del inflight[block]
             for kind in node.wt_waiters.pop(block, ()):
                 self._wt_waiter_resume(node, t, block, kind)
         if background:
@@ -266,10 +290,14 @@ class LRCProtocol(Protocol):
         if not pend:
             return t
         obs = self.machine.classifier
+        # The invalidations run back to back on the protocol processor.
         pp = node.pp
-        cost = self.cfg.notice_cost
+        free = pp.free_at
+        if t < free:
+            t = free
+        cost = self._notice_cost
         for block in sorted(pend):
-            t = pp.reserve(t, cost)
+            t += cost
             if node.cache.invalidate(block):
                 node.stats.acquire_invalidations += 1
                 self.stats.acquire_invalidations += 1
@@ -289,12 +317,15 @@ class LRCProtocol(Protocol):
                     block,
                     node.id,
                 )
+        pp.free_at = t
         pend.clear()
         return t
 
     def _h_relinquish(self, t: int, block: int, src: int) -> None:
         home = self.nodes[self.home_of(block)]
-        home.pp.reserve(t, self.cfg.notice_cost)
+        pp = home.pp
+        free = pp.free_at
+        pp.free_at = (t if t >= free else free) + self._notice_cost
         home.directory.remove(block, src)
 
     # ==========================================================================
@@ -303,27 +334,37 @@ class LRCProtocol(Protocol):
 
     def _h_read_req(self, t: int, block: int, requester: int) -> None:
         home = self.nodes[self.home_of(block)]
-        tp = home.pp.reserve(t, self.cfg.lrc_dir_cost)
+        pp = home.pp
+        free = pp.free_at
+        tp = (t if t >= free else free) + self._dir_cost
         out = home.directory.read(block, requester)
         # Directory processing is hidden behind the memory access.
-        tm = home.mem.read(t, self.cfg.line_size)
+        rd = home.mem.rd
+        free = rd.free_at
+        tm = (t if t >= free else free) + self._mem_line_time
+        rd.free_at = tm
         treply = tp if tp > tm else tm
         # A read of a dirty block notifies the current writer (footnote 1).
         # The notice is informational: no ack is collected, and the writer
         # does not invalidate (its copy is complete — see directory/lazy).
-        td = treply
-        for w in out.notices_to:
-            td = home.pp.reserve(td, self.cfg.notice_cost)
-            self.stats.notices_sent += 1
-            self.fabric.send(
-                home.id,
-                w,
-                WRITE_NOTICE,
-                td,
-                self._h_notice_info,
-                block,
-                w,
-            )
+        # The notices go out back to back on the protocol processor.
+        notices = out.notices_to
+        if notices:
+            self.stats.notices_sent += len(notices)
+            td = treply
+            for w in notices:
+                td += self._notice_cost
+                self.fabric.send(
+                    home.id,
+                    w,
+                    WRITE_NOTICE,
+                    td,
+                    self._h_notice_info,
+                    block,
+                    w,
+                )
+            tp = td
+        pp.free_at = tp
         vm = self.machine.valmodel
         self.fabric.send(
             home.id,
@@ -341,7 +382,10 @@ class LRCProtocol(Protocol):
         self, t: int, block: int, requester: int, weak: bool, data=None
     ) -> None:
         node = self.nodes[requester]
-        t_fill = node.bus.reserve(t, self._line_bus_time)
+        bus = node.bus
+        free = bus.free_at
+        t_fill = (t if t >= free else free) + self._line_bus_time
+        bus.free_at = t_fill
         self._install_line(node, t_fill, block, RO)
         if weak:
             node.pending_inval.add(block)
@@ -353,15 +397,22 @@ class LRCProtocol(Protocol):
 
     def _h_write_req(self, t: int, block: int, requester: int, has_copy: bool) -> None:
         home = self.nodes[self.home_of(block)]
-        tp = home.pp.reserve(t, self.cfg.lrc_dir_cost)
-        e = home.directory.entry(block)
-        out = home.directory.write(block, requester, has_copy)
-        awaiting = bool(out.notices_to) or e.pending_acks > 0
+        pp = home.pp
+        free = pp.free_at
+        tp = (t if t >= free else free) + self._dir_cost
+        directory = home.directory
+        e = directory.entry(block)
+        out = directory.write(block, requester, has_copy)
+        notices = out.notices_to
+        awaiting = bool(notices) or e.pending_acks > 0
         # Data reply (if the writer lacks the line) is sent immediately —
         # the writer can retire the buffered words; the *final* ack that
         # the release fence waits on may come later, after notice acks.
         if out.needs_data:
-            tm = home.mem.read(t, self.cfg.line_size)
+            rd = home.mem.rd
+            free = rd.free_at
+            tm = (t if t >= free else free) + self._mem_line_time
+            rd.free_at = tm
             vm = self.machine.valmodel
             self.fabric.send(
                 home.id,
@@ -375,19 +426,22 @@ class LRCProtocol(Protocol):
                 not awaiting,
                 vm.home_line(block) if vm is not None else None,
             )
+        # The notices go out back to back on the protocol processor.
         td = tp
-        for s in out.notices_to:
-            td = home.pp.reserve(td, self.cfg.notice_cost)
-            self.stats.notices_sent += 1
-            self.fabric.send(
-                home.id, s, WRITE_NOTICE, td, self._h_notice, block, s, True
-            )
+        if notices:
+            self.stats.notices_sent += len(notices)
+            for s in notices:
+                td += self._notice_cost
+                self.fabric.send(
+                    home.id, s, WRITE_NOTICE, td, self._h_notice, block, s, True
+                )
+        pp.free_at = td
         if awaiting:
             # Join the (possibly already open) ack collection; the home
             # acknowledges every waiting writer at once when the count
             # reaches zero.  The weak-for-writer flag rides along so a
             # multi-writer upgrade still learns to self-invalidate.
-            e.pending_acks += len(out.notices_to)
+            e.pending_acks += len(notices)
             e.pending_requesters.append((requester, out.weak_for_writer and not out.needs_data))
         elif not out.needs_data:
             self.fabric.send(
@@ -406,7 +460,10 @@ class LRCProtocol(Protocol):
     ) -> None:
         """Data for a write miss: install RW and retire buffered words."""
         node = self.nodes[requester]
-        t_fill = node.bus.reserve(t, self._line_bus_time)
+        bus = node.bus
+        free = bus.free_at
+        t_fill = (t if t >= free else free) + self._line_bus_time
+        bus.free_at = t_fill
         self._install_line(node, t_fill, block, RW)
         vm = self.machine.valmodel
         if vm is not None:
@@ -446,25 +503,32 @@ class LRCProtocol(Protocol):
 
     def _h_notice(self, t: int, block: int, target: int, needs_ack: bool) -> None:
         tnode = self.nodes[target]
-        tp = tnode.pp.reserve(t, self.cfg.notice_cost)
+        pp = tnode.pp
+        free = pp.free_at
+        tp = (t if t >= free else free) + self._notice_cost
+        pp.free_at = tp
         tnode.pending_inval.add(block)
         if needs_ack:
-            home_id = self.home_of(block)
             self.fabric.send(
-                tnode.id, home_id, ACK, tp, self._h_notice_ack, block
+                target, self.home_of(block), ACK, tp, self._h_notice_ack, block
             )
 
     def _h_notice_info(self, t: int, block: int, target: int) -> None:
         """Informational notice to a dirty block's writer on a read-induced
         weak transition: protocol-processor cost only, no invalidation."""
-        self.nodes[target].pp.reserve(t, self.cfg.notice_cost)
+        pp = self.nodes[target].pp
+        free = pp.free_at
+        pp.free_at = (t if t >= free else free) + self._notice_cost
 
     def _h_notice_ack(self, t: int, block: int) -> None:
         home = self.nodes[self.home_of(block)]
         e = home.directory.entry(block)
         e.pending_acks -= 1
         if e.pending_acks == 0 and e.pending_requesters:
-            tp = home.pp.reserve(t, self.cfg.notice_cost)
+            pp = home.pp
+            free = pp.free_at
+            tp = (t if t >= free else free) + self._notice_cost
+            pp.free_at = tp
             for req, weak in e.pending_requesters:
                 self.fabric.send(
                     home.id,

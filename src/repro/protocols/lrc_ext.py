@@ -79,17 +79,27 @@ class LRCExtProtocol(LRCProtocol):
 
     def _h_write_fetch_req(self, t: int, block: int, requester: int) -> None:
         home = self.nodes[self.home_of(block)]
-        tp = home.pp.reserve(t, self.cfg.lrc_dir_cost)
+        pp = home.pp
+        free = pp.free_at
+        tp = (t if t >= free else free) + self._dir_cost
         out = home.directory.read(block, requester)
-        tm = home.mem.read(t, self.cfg.line_size)
+        rd = home.mem.rd
+        free = rd.free_at
+        tm = (t if t >= free else free) + self._mem_line_time
+        rd.free_at = tm
         treply = tp if tp > tm else tm
-        td = treply
-        for w in out.notices_to:
-            td = home.pp.reserve(td, self.cfg.notice_cost)
-            self.stats.notices_sent += 1
-            self.fabric.send(
-                home.id, w, WRITE_NOTICE, td, self._h_notice_info, block, w
-            )
+        # The notices go out back to back on the protocol processor.
+        notices = out.notices_to
+        if notices:
+            self.stats.notices_sent += len(notices)
+            td = treply
+            for w in notices:
+                td += self._notice_cost
+                self.fabric.send(
+                    home.id, w, WRITE_NOTICE, td, self._h_notice_info, block, w
+                )
+            tp = td
+        pp.free_at = tp
         vm = self.machine.valmodel
         self.fabric.send(
             home.id,
@@ -107,7 +117,10 @@ class LRCExtProtocol(LRCProtocol):
         self, t: int, block: int, requester: int, weak: bool, data=None
     ) -> None:
         node = self.nodes[requester]
-        t_fill = node.bus.reserve(t, self._line_bus_time)
+        bus = node.bus
+        free = bus.free_at
+        t_fill = (t if t >= free else free) + self._line_bus_time
+        bus.free_at = t_fill
         self._install_line(node, t_fill, block, RW)
         vm = self.machine.valmodel
         if vm is not None:
@@ -135,13 +148,15 @@ class LRCExtProtocol(LRCProtocol):
     def _pre_release(self, node, t: int, cont) -> None:
         deferred = node.deferred_notices
         if deferred:
+            # The notices are posted back to back on the protocol processor.
             pp = node.pp
-            cost = self.cfg.notice_cost
-            ts = t
+            free = pp.free_at
+            ts = t if t >= free else free
             for block in sorted(deferred):
-                ts = pp.reserve(ts, cost)
+                ts += self._notice_cost
                 self.stats.deferred_notices += 1
                 self._send_write_notice(node, ts, block, has_copy=True)
+            pp.free_at = ts
             deferred.clear()
         super()._pre_release(node, t, cont)
 

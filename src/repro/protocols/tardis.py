@@ -71,6 +71,10 @@ class TardisProtocol(LRCProtocol):
     timestamp_coherence = True
     dir_cost_attr = "lrc_dir_cost"
 
+    def __init__(self, machine) -> None:
+        super().__init__(machine)
+        self._lease = self.cfg.tardis_lease
+
     def make_directory(self):
         return TardisDirectory()
 
@@ -198,7 +202,10 @@ class TardisProtocol(LRCProtocol):
 
     def _h_ts_bump(self, t: int, block: int, src: int) -> None:
         home = self.nodes[self.home_of(block)]
-        tp = home.pp.reserve(t, self.cfg.lrc_dir_cost)
+        pp = home.pp
+        free = pp.free_at
+        tp = (t if t >= free else free) + self._dir_cost
+        pp.free_at = tp
         wts = home.directory.bump(block)
         self.stats.ts_bumps += 1
         self.fabric.send(
@@ -224,10 +231,14 @@ class TardisProtocol(LRCProtocol):
             return t
         expired.sort()
         obs = self.machine.classifier
+        # The self-invalidations run back to back on the protocol processor.
         pp = node.pp
-        cost = self.cfg.notice_cost
+        free = pp.free_at
+        if t < free:
+            t = free
+        cost = self._notice_cost
         for block in expired:
-            t = pp.reserve(t, cost)
+            t += cost
             del node.ts_lease[block]
             if node.cache.invalidate(block):
                 node.stats.acquire_invalidations += 1
@@ -240,6 +251,7 @@ class TardisProtocol(LRCProtocol):
                 words = node.cbuf.remove(block)
                 if words:
                     self._flush_words(node, t, block, words)
+        pp.free_at = t
         return t
 
     # ==========================================================================
@@ -250,10 +262,16 @@ class TardisProtocol(LRCProtocol):
         self, t: int, block: int, requester: int, pts: int, rw: bool
     ) -> None:
         home = self.nodes[self.home_of(block)]
-        tp = home.pp.reserve(t, self.cfg.lrc_dir_cost)
-        wts, rts = home.directory.read(block, pts, self.cfg.tardis_lease)
+        pp = home.pp
+        free = pp.free_at
+        tp = (t if t >= free else free) + self._dir_cost
+        pp.free_at = tp
+        wts, rts = home.directory.read(block, pts, self._lease)
         # Timestamp processing is hidden behind the memory access.
-        tm = home.mem.read(t, self.cfg.line_size)
+        rd = home.mem.rd
+        free = rd.free_at
+        tm = (t if t >= free else free) + self._mem_line_time
+        rd.free_at = tm
         vm = self.machine.valmodel
         self.fabric.send(
             home.id,
@@ -274,7 +292,10 @@ class TardisProtocol(LRCProtocol):
         rw: bool, data=None,
     ) -> None:
         node = self.nodes[requester]
-        t_fill = node.bus.reserve(t, self._line_bus_time)
+        bus = node.bus
+        free = bus.free_at
+        t_fill = (t if t >= free else free) + self._line_bus_time
+        bus.free_at = t_fill
         self._install_line(node, t_fill, block, RW if rw else RO)
         # Read at-or-after the last published write; the lease is at
         # least as large, so a fresh fill never expires immediately.

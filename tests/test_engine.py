@@ -5,6 +5,7 @@ import pytest
 from repro.engine import EventQueue, Resource, Simulator
 from repro.engine.simulator import DeadlockError
 from repro.harness.spec import ExperimentSpec
+from repro.network.messages import MsgType
 
 
 class TestEventQueue:
@@ -60,19 +61,6 @@ class TestResource:
     def test_zero_duration(self):
         r = Resource()
         assert r.reserve(5, 0) == 5
-
-    def test_busy_accounting(self):
-        r = Resource()
-        r.reserve(0, 5)
-        r.reserve(0, 7)
-        assert r.busy_cycles == 12
-        assert r.requests == 2
-
-    def test_reset(self):
-        r = Resource()
-        r.reserve(0, 5)
-        r.reset()
-        assert r.free_at == 0 and r.busy_cycles == 0
 
 
 class TestSimulator:
@@ -133,6 +121,11 @@ class TestSimulator:
         assert sim.events_processed == 5
 
 
+#: A one-node receive-NIC list for remote-lane entries the tests pop by
+#: hand (``EventQueue.pop`` leaves it unbooked).
+NIC = [0]
+
+
 class TestEventQueueTieBreak:
     """The explicit same-timestamp tie-break (two lanes)."""
 
@@ -161,7 +154,7 @@ class TestEventQueueTieBreak:
     def test_local_lane_fires_before_remote_at_equal_time(self):
         q = EventQueue()
         order = []
-        q.push_remote(7, 0, 0, order.append, ("remote",))
+        q.push_remote(7, 0, 0, order.append, ("remote",), NIC, 0, 0)
         q.push(7, order.append, "local")
         while q:
             _, cb, args = q.pop()
@@ -174,7 +167,7 @@ class TestEventQueueTieBreak:
         # Inserted in scrambled order; must fire sorted by (src, seq) —
         # the canonical key that makes remote order insertion-independent.
         for src, seq in [(2, 0), (0, 1), (1, 5), (0, 0), (1, 2)]:
-            q.push_remote(4, src, seq, order.append, ((src, seq),))
+            q.push_remote(4, src, seq, order.append, ((src, seq),), NIC, 0, 0)
         while q:
             _, cb, args = q.pop()
             cb(*args)
@@ -183,7 +176,7 @@ class TestEventQueueTieBreak:
     def test_remote_rejects_negative_time(self):
         q = EventQueue()
         with pytest.raises(ValueError):
-            q.push_remote(-1, 0, 0, lambda: None, ())
+            q.push_remote(-1, 0, 0, lambda: None, (), NIC, 0, 0)
 
 
 class TestDeterminism256:
@@ -202,3 +195,45 @@ class TestDeterminism256:
         result = machine.replay(spec.recorded_stream())
         assert machine.checker.checks_run > 0
         assert result.exec_time > 0
+
+
+class TestEventsPerMessage:
+    """Literal event and per-type message counts, recorded before the
+    receive NIC moved into the event loop.  A change to the arrival path
+    that adds or drops an event (or a message) fails here in seconds."""
+
+    CASES = {
+        ("kvstore", "lrc", 16): (14378, {
+            "READ_REQ": 1422, "WRITE_REQ": 861, "DATA_REPLY": 1454,
+            "ACK": 1997, "WRITE_NOTICE": 745, "WRITE_THROUGH": 871,
+            "RELINQUISH": 1396, "LOCK_REQ": 768, "LOCK_GRANT": 768,
+            "LOCK_RELEASE": 768, "BARRIER_ARRIVE": 32, "BARRIER_EXIT": 32,
+        }),
+        ("kvstore", "tardis", 16): (12210, {
+            "READ_REQ": 1535, "WRITE_REQ": 32, "DATA_REPLY": 1567,
+            "ACK": 1742, "WRITE_THROUGH": 871, "LOCK_REQ": 768,
+            "LOCK_GRANT": 768, "LOCK_RELEASE": 768, "BARRIER_ARRIVE": 32,
+            "BARRIER_EXIT": 32, "TS_BUMP": 871,
+        }),
+        ("gauss", "lrc", 4): (11107, {
+            "READ_REQ": 643, "WRITE_REQ": 267, "DATA_REPLY": 643,
+            "ACK": 3067, "WRITE_NOTICE": 97, "WRITE_THROUGH": 2800,
+            "EVICT_NOTICE": 322, "RELINQUISH": 222, "BARRIER_ARRIVE": 4,
+            "BARRIER_EXIT": 4, "FLAG_SET": 47, "FLAG_WAIT": 141,
+            "FLAG_GRANT": 141,
+        }),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES), ids=lambda c: "-".join(map(str, c)))
+    def test_events_and_messages_pinned(self, case):
+        app, protocol, n_procs = case
+        events, counts = self.CASES[case]
+        spec = ExperimentSpec(app, protocol, n_procs=n_procs, small=True)
+        # No stall watchdog: its checks are events too.
+        machine = spec.machine_config().with_(stall_cycles=0).build()
+        machine.replay(spec.recorded_stream())
+        assert machine.sim.events_processed == events
+        assert {
+            MsgType(k).name: c
+            for k, c in enumerate(machine.fabric.stats.count) if c
+        } == counts

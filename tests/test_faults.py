@@ -69,11 +69,9 @@ class TestStallWatchdog:
         spec = ExperimentSpec("mp3d", "lrc", n_procs=4, small=True)
         machine = Machine(spec.config(), protocol="lrc", stall_cycles=200_000)
 
-        def resend_forever(arrival, src, sseq, callback, payload):
-            machine.sim.at(
-                arrival + 1_000, resend_forever,
-                arrival + 1_000, src, sseq, callback, payload,
-            )
+        def resend_forever(entry):
+            later = (entry[0] + 1_000,) + entry[1:]
+            machine.sim.at(later[0], resend_forever, later)
 
         machine.fabric._deliver_remote = resend_forever
         with pytest.raises(SimulationStall):

@@ -104,6 +104,17 @@ class TestAddressSpace:
         seg = sp.alloc(4096, "late")
         assert lookup(seg.base >> cfg.line_shift) == sp.home_of_addr(seg.base)
 
+    def test_fast_lookup_memo_never_holds_an_unallocated_block(self):
+        cfg = self.cfg(4)
+        sp = AddressSpace(cfg)
+        lookup = sp.build_block_home_lookup()
+        block = sp.page_size >> cfg.line_shift  # first page, not yet allocated
+        with pytest.raises(KeyError):
+            lookup(block)
+        seg = sp.alloc(4096, "a")
+        assert seg.base >> cfg.line_shift == block
+        assert lookup(block) == lookup(block) == sp.home_of_block(block)
+
     def test_bytes_allocated(self):
         sp = AddressSpace(self.cfg())
         sp.alloc(4096, "a")

@@ -15,30 +15,28 @@ def cfg(n=2, **kw):
 
 class TestMemoryModule:
     def test_read_timing(self):
-        m = MemoryModule(SC(), 0)
+        m = MemoryModule(SC())
         assert m.read(0, 128) == 20 + 64
 
     def test_reads_contend_with_reads(self):
-        m = MemoryModule(SC(), 0)
+        m = MemoryModule(SC())
         assert m.read(0, 128) == 84
         assert m.read(10, 128) == 168
 
     def test_writes_do_not_block_reads(self):
-        m = MemoryModule(SC(), 0)
+        m = MemoryModule(SC())
         m.write(0, 128)
         assert m.read(0, 128) == 84  # separate write port
 
     def test_writes_contend_with_writes(self):
-        m = MemoryModule(SC(), 0)
+        m = MemoryModule(SC())
         assert m.write(0, 128) == 84
         assert m.write(0, 128) == 168
 
-    def test_counters(self):
-        m = MemoryModule(SC(), 0)
-        m.read(0, 128)
-        m.write(0, 16)
-        assert m.reads == 1 and m.writes == 1
-        assert m.busy_cycles == 84 + 28
+    def test_sub_line_write_timing(self):
+        m = MemoryModule(SC())
+        assert m.read(0, 128) == 84
+        assert m.write(0, 16) == 20 + 8  # a partial write-through
 
 
 class TestProcessorAccounting:
