@@ -7,12 +7,12 @@ simulator (a fidelity check: results should be stable across quanta).
 """
 
 from benchmarks.conftest import once, record
-from repro.harness import clear_cache, run_experiment
+from repro.harness import ExperimentSpec, clear_cache, run_spec
 
 
 def _ratio(app, n_procs=16, **over):
-    erc = run_experiment(app, "erc", n_procs=n_procs, small=False, **over)
-    lrc = run_experiment(app, "lrc", n_procs=n_procs, small=False, **over)
+    erc = run_spec(ExperimentSpec(app, "erc", n_procs=n_procs, overrides=over))
+    lrc = run_spec(ExperimentSpec(app, "lrc", n_procs=n_procs, overrides=over))
     return lrc.exec_time / erc.exec_time
 
 

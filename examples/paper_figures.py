@@ -6,7 +6,7 @@
     python examples/paper_figures.py --only f4 t3 --procs 16 --small
     python examples/paper_figures.py --procs 16 --small --jobs 4
 
-Artifacts: t1 t2 t3 f4 f5 f6 f7 f8 f9 quality sweep
+Artifacts: t1 t2 t3 f4 f5 f6 f7 f8 f9 sweep quality
 
 ``--jobs N`` fans the simulations out over N worker processes through
 the experiment engine (``repro.harness.runner``); the equivalent
@@ -18,19 +18,19 @@ import argparse
 
 from repro.apps.mp3d_quality import quality_divergence
 from repro.harness import (
+    ARTIFACT_KEYS,
     all_artifact_specs,
-    figure4_normalized_time,
-    figure5_breakdown,
-    figure6_lazier,
-    figure7_lazier_breakdown,
-    figure8_future,
-    figure9_future_breakdown,
     prefetch,
-    sensitivity_sweep,
-    table1,
-    table2_miss_classification,
-    table3_miss_rates,
+    render_artifact,
 )
+
+
+def quality() -> str:
+    """Section 4.2's mp3d result quality (runs its own comparison; it is
+    not a set of simulation specs)."""
+    return "Section 4.2 mp3d quality (lazy vs SC):\n" + "\n".join(
+        f"  {k}: {v * 100:.3f}%" for k, v in quality_divergence(steps=10).items()
+    )
 
 
 def main() -> None:
@@ -43,30 +43,13 @@ def main() -> None:
     args = ap.parse_args()
     n, small = args.procs, args.small
 
-    artifacts = {
-        "t1": lambda: table1(),
-        "t2": lambda: table2_miss_classification(n, small)[1],
-        "t3": lambda: table3_miss_rates(n, small)[1],
-        "f4": lambda: figure4_normalized_time(n, small)[1],
-        "f5": lambda: figure5_breakdown(n, small)[1],
-        "f6": lambda: figure6_lazier(n, small)[1],
-        "f7": lambda: figure7_lazier_breakdown(n, small)[1],
-        "f8": lambda: figure8_future(n, small)[1],
-        "f9": lambda: figure9_future_breakdown(n, small)[1],
-        "quality": lambda: "Section 4.2 mp3d quality (lazy vs SC):\n"
-        + "\n".join(
-            f"  {k}: {v * 100:.3f}%" for k, v in quality_divergence(steps=10).items()
-        ),
-        "sweep": lambda: sensitivity_sweep(app="mp3d", n_procs=min(n, 16), small=small)[1],
-    }
-    wanted = args.only or list(artifacts)
+    wanted = args.only or [*ARTIFACT_KEYS, "quality"]
     if args.jobs > 1:
         # Warm the in-process memo in parallel; rendering below is then free.
-        # ("quality" runs its own comparison and is not spec-shaped.)
         keys = [k for k in wanted if k != "quality"]
         prefetch(all_artifact_specs(keys, n_procs=n, small=small), jobs=args.jobs)
     for key in wanted:
-        print(artifacts[key]())
+        print(quality() if key == "quality" else render_artifact(key, n, small))
         print("=" * 72)
 
 

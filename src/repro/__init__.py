@@ -8,7 +8,8 @@ deferred-notice variant), the seven SPLASH-style applications of the
 paper's evaluation, and a harness that regenerates every table and
 figure.
 
-Quick start::
+There are two ways in.  :func:`simulate` builds an application against
+a fresh context and runs it on the machine you describe::
 
     from repro import SystemConfig, simulate
     from repro.apps import Gauss
@@ -17,8 +18,11 @@ Quick start::
     eager = simulate(Gauss, SystemConfig.scaled(n_procs=16), "erc", n=64)
     print(lazy.exec_time / eager.exec_time)
 
-Preset experiments go through the spec-based engine (memoized, optionally
-parallel and disk-cached; see ``python -m repro figures --help``)::
+A preset experiment (an app by name on a Table 1 or Section 4.3
+machine) is an :class:`ExperimentSpec` run through :func:`run_spec`,
+which memoizes it and, with a result store, caches it on disk; every
+table and figure is rendered from such specs (see
+``python -m repro figures --help``)::
 
     from repro import ExperimentSpec, run_spec
 
@@ -26,7 +30,7 @@ parallel and disk-cached; see ``python -m repro figures --help``)::
 """
 
 from repro.config import SystemConfig
-from repro.core.api import build_machine, run_app, simulate
+from repro.core.api import simulate
 from repro.core.machine import Machine, RunResult
 from repro.harness.spec import ExperimentSpec
 from repro.results.store import ResultStore
@@ -51,8 +55,6 @@ __all__ = [
     "RunResult",
     "ExperimentSpec",
     "ResultStore",
-    "build_machine",
-    "run_app",
     "run_spec",
     "simulate",
     "__version__",

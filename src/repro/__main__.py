@@ -39,23 +39,15 @@ import sys
 import time
 
 from repro.apps import APPS
-from repro.harness import run_experiment
 from repro.harness.experiments import (
     ARTIFACT_KEYS,
     all_artifact_specs,
-    figure4_normalized_time,
-    figure5_breakdown,
-    figure6_lazier,
-    figure7_lazier_breakdown,
-    figure8_future,
-    figure9_future_breakdown,
     prefetch,
-    sensitivity_sweep,
-    table1,
-    table2_miss_classification,
-    table3_miss_rates,
+    render_artifact,
+    run_spec,
 )
 from repro.harness.presets import APP_PRESETS, APP_PRESETS_SMALL
+from repro.harness.spec import ExperimentSpec
 from repro.protocols import REGISTRY, all_names
 from repro.results.store import DEFAULT_ROOT, ResultStore
 from repro.stats.report import format_table
@@ -85,9 +77,6 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from repro.harness.experiments import run_spec
-    from repro.harness.spec import ExperimentSpec
-
     spec = ExperimentSpec(
         args.app,
         args.protocol,
@@ -107,13 +96,14 @@ def _cmd_compare(args) -> int:
     rows = []
     base = None
     for proto in all_names():
-        r = run_experiment(
+        spec = ExperimentSpec(
             args.app,
             proto,
             n_procs=args.procs,
             small=args.small,
             check_invariants=args.check_invariants,
         )
+        r = run_spec(spec)
         if base is None:
             base = r.exec_time
         b = r.breakdown()
@@ -218,22 +208,8 @@ def _cmd_figures(args) -> int:
                   file=sys.stderr)
         return 1
 
-    renderers = {
-        "t1": lambda: table1(),
-        "t2": lambda: table2_miss_classification(n, small)[1],
-        "t3": lambda: table3_miss_rates(n, small)[1],
-        "f4": lambda: figure4_normalized_time(n, small)[1],
-        "f5": lambda: figure5_breakdown(n, small)[1],
-        "f6": lambda: figure6_lazier(n, small)[1],
-        "f7": lambda: figure7_lazier_breakdown(n, small)[1],
-        "f8": lambda: figure8_future(n, small)[1],
-        "f9": lambda: figure9_future_breakdown(n, small)[1],
-        "sweep": lambda: sensitivity_sweep(
-            app="mp3d", n_procs=min(n, 16), small=small
-        )[1],
-    }
     for key in wanted:
-        print(renderers[key]())
+        print(render_artifact(key, n, small))
         print("=" * 72)
     print(
         f"{len(specs)} experiments ready in {sim_elapsed:.1f}s "

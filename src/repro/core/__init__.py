@@ -1,13 +1,11 @@
 """Machine assembly and the public simulation API."""
 
 from repro.core.machine import Machine, MachineConfig, RunResult
-from repro.core.api import build_machine, simulate, run_app
+from repro.core.api import simulate
 
 __all__ = [
     "Machine",
     "MachineConfig",
     "RunResult",
-    "build_machine",
     "simulate",
-    "run_app",
 ]

@@ -11,7 +11,7 @@ Typical use::
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
 from repro.config import SystemConfig
@@ -90,37 +90,28 @@ class RunResult:
 
 @dataclass(frozen=True)
 class MachineConfig:
-    """A complete, declarative machine description.
+    """The machine an :class:`~repro.harness.spec.ExperimentSpec` describes.
 
-    Consolidates the loose keyword arguments :class:`Machine` grew over
-    time — one value object names every knob the harness and the public
-    API set, can be compared, copied with :func:`dataclasses.replace`,
-    and built from (:meth:`build`).  The fuzzer's value model and delivery
-    jitter are :class:`Machine` arguments only.
-    The harness (:class:`repro.harness.spec.ExperimentSpec`) and the
-    public API (:func:`repro.core.api.run_app`) both construct machines
-    through this type rather than spelling kwargs at each call site.
+    A value object holding the four settings a spec (or
+    :func:`repro.core.api.simulate`) sets; :meth:`build` assembles the
+    :class:`Machine`.  Tracing, cycle limits, the stall watchdog, the
+    fuzzer's value model and delivery jitter are :class:`Machine`
+    arguments only.
     """
 
     config: SystemConfig = field(default_factory=SystemConfig)
     protocol: str = "lrc"
     classify: bool = False
-    max_cycles: int = 1 << 62
-    trace: bool = False
     check_invariants: bool = False
-    trace_capacity: int = 1 << 16
-    check_level: str = "sync"
-    stall_cycles: Optional[int] = None
 
     def build(self) -> "Machine":
         """Assemble a fresh :class:`Machine` from this description."""
-        kwargs = {f.name: getattr(self, f.name) for f in fields(self)}
-        cfg = kwargs.pop("config")
-        return Machine(cfg, **kwargs)
-
-    def with_(self, **changes) -> "MachineConfig":
-        """A copy with ``changes`` applied (thin ``dataclasses.replace``)."""
-        return replace(self, **changes)
+        return Machine(
+            self.config,
+            protocol=self.protocol,
+            classify=self.classify,
+            check_invariants=self.check_invariants,
+        )
 
 
 class Machine:

@@ -15,7 +15,7 @@ from repro.harness.experiments import (
     figure8_future,
     figure9_future_breakdown,
     prefetch,
-    run_experiment,
+    render_artifact,
     run_spec,
     sensitivity_sweep,
     table1,
@@ -40,7 +40,7 @@ __all__ = [
     "figure9_future_breakdown",
     "future_config",
     "prefetch",
-    "run_experiment",
+    "render_artifact",
     "run_parallel",
     "run_serial",
     "run_spec",

@@ -1,8 +1,10 @@
 """One entry point per table/figure of the paper.
 
 Every function returns both the raw numbers and a formatted text block
-that mirrors the paper's presentation.  All simulations flow through one
-currency — :class:`repro.harness.spec.ExperimentSpec` — and one memoized
+that mirrors the paper's presentation; :func:`render_artifact` returns
+the text of any artifact by key.  Each artifact's cells are listed once,
+by :func:`artifact_specs`, as :class:`repro.harness.spec.ExperimentSpec`
+values, and every table and figure reads its cells through one memoized
 executor, :func:`run_spec`:
 
 * results are memoized in-process per spec, so the benchmark suite —
@@ -16,9 +18,6 @@ executor, :func:`run_spec`:
 * :func:`prefetch` fans a list of specs out over the parallel runner
   (:mod:`repro.harness.runner`) and warms the memo, so the artifact
   functions below then render from memory.
-
-:func:`run_experiment` remains as a thin keyword-argument wrapper that
-builds a spec.
 """
 
 from __future__ import annotations
@@ -27,17 +26,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
 from repro.core.machine import RunResult
-from repro.harness.presets import (
-    APP_LABELS,
-    APP_ORDER,
-    APP_PRESETS,
-    APP_PRESETS_SMALL,
-    bench_config,
-    future_config,
-)
+from repro.harness.presets import APP_LABELS, APP_ORDER
 from repro.harness.spec import ExperimentSpec
-from repro.results.store import ResultStore, default_store
-from repro.stats.classification import CATEGORIES
+from repro.results.store import default_store
 
 #: In-process memo: spec -> result.
 _MEMO: Dict[ExperimentSpec, RunResult] = {}
@@ -69,34 +60,6 @@ def run_spec(spec: ExperimentSpec, store=_UNSET) -> RunResult:
             store.save(spec, result)
     _MEMO[spec] = result
     return result
-
-
-def run_experiment(
-    app_name: str,
-    protocol: str,
-    kind: str = "default",
-    n_procs: int = 64,
-    classify: bool = False,
-    small: bool = False,
-    check_invariants: bool = False,
-    **config_over,
-) -> RunResult:
-    """Back-compat wrapper: build an :class:`ExperimentSpec` and run it.
-
-    ``kind`` selects the machine: "default" (Table 1 parameters, scaled
-    cache) or "future" (Section 4.3).
-    """
-    spec = ExperimentSpec(
-        app=app_name,
-        protocol=protocol,
-        kind=kind,
-        n_procs=n_procs,
-        classify=classify,
-        small=small,
-        overrides=config_over,
-        check_invariants=check_invariants,
-    )
-    return run_spec(spec)
 
 
 def prefetch(
@@ -132,13 +95,24 @@ def prefetch(
 
 
 # ---------------------------------------------------------------------------
-# Artifact -> spec enumeration (drives the CLI and parallel prefetching)
+# Artifact -> spec enumeration: the one list of each artifact's cells
 # ---------------------------------------------------------------------------
 
 #: Artifacts the spec enumeration (and ``python -m repro figures``) covers.
 ARTIFACT_KEYS = ("t1", "t2", "t3", "f4", "f5", "f6", "f7", "f8", "f9", "sweep")
 
-#: Section 4.3 sweep variants (shared by sensitivity_sweep and the CLI).
+#: Figures 4-9: machine kind and the protocols in the order the figure
+#: shows them.  "sc", the normalization baseline, is always simulated.
+_FIGURES = {
+    "f4": ("default", ("erc", "lrc")),
+    "f5": ("default", ("lrc", "erc", "sc")),
+    "f6": ("default", ("lrc", "lrc-ext", "tardis")),
+    "f7": ("default", ("lrc", "lrc-ext", "tardis", "sc")),
+    "f8": ("future", ("erc", "lrc", "lrc-ext", "tardis")),
+    "f9": ("future", ("lrc", "lrc-ext", "tardis", "erc", "sc")),
+}
+
+#: Section 4.3 sweep variants: (label, SystemConfig overrides).
 SWEEP_VARIANTS = [
     ("baseline", {}),
     ("2x memory latency", {"mem_setup": 40}),
@@ -147,16 +121,18 @@ SWEEP_VARIANTS = [
     ("256-byte lines", {"line_size": 256}),
 ]
 
-#: Protocols per normalized-time / breakdown artifact ("sc" is always
-#: included as the normalization baseline).
-_ARTIFACT_PROTOCOLS = {
-    "f4": (("sc", "erc", "lrc"), "default"),
-    "f5": (("sc", "erc", "lrc"), "default"),
-    "f6": (("sc", "lrc", "lrc-ext", "tardis"), "default"),
-    "f7": (("sc", "lrc", "lrc-ext", "tardis"), "default"),
-    "f8": (("sc", "erc", "lrc", "lrc-ext", "tardis"), "future"),
-    "f9": (("sc", "erc", "lrc", "lrc-ext", "tardis"), "future"),
-}
+#: The "sweep" artifact runs mp3d on at most this many processors.
+_SWEEP_APP = "mp3d"
+_SWEEP_MAX_PROCS = 16
+
+
+def _sweep_specs(app: str, n_procs: int, small: bool) -> List[ExperimentSpec]:
+    """An erc and an lrc spec per sweep variant, in variant order."""
+    return [
+        ExperimentSpec(app, proto, n_procs=n_procs, small=small, overrides=over)
+        for _label, over in SWEEP_VARIANTS
+        for proto in ("erc", "lrc")
+    ]
 
 
 def artifact_specs(
@@ -179,18 +155,15 @@ def artifact_specs(
             for proto in ("erc", "lrc", "lrc-ext", "tardis")
         ]
     if artifact == "sweep":
-        return [
-            ExperimentSpec(
-                "mp3d", proto, n_procs=min(n_procs, 16), small=small, overrides=over
-            )
-            for _label, over in SWEEP_VARIANTS
-            for proto in ("erc", "lrc")
-        ]
-    protocols, kind = _ARTIFACT_PROTOCOLS[artifact]
+        return _sweep_specs(_SWEEP_APP, min(n_procs, _SWEEP_MAX_PROCS), small)
+    from repro.protocols import all_names
+
+    kind, shown = _FIGURES[artifact]
     return [
         ExperimentSpec(app, proto, kind=kind, n_procs=n_procs, small=small)
         for app in APP_ORDER
-        for proto in protocols
+        for proto in all_names()
+        if proto == "sc" or proto in shown
     ]
 
 
@@ -205,6 +178,16 @@ def all_artifact_specs(
         for spec in artifact_specs(artifact, n_procs=n_procs, small=small):
             out[spec] = None
     return list(out)
+
+
+def _cells(
+    artifact: str, n_procs: int, small: bool
+) -> Dict[Tuple[str, str], RunResult]:
+    """An artifact's results, keyed by (app, protocol)."""
+    return {
+        (s.app, s.protocol): run_spec(s)
+        for s in artifact_specs(artifact, n_procs=n_procs, small=small)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +229,10 @@ def table1() -> str:
 # ---------------------------------------------------------------------------
 
 def table2_miss_classification(n_procs: int = 64, small: bool = False) -> Tuple[Dict, str]:
-    data = {}
-    for app in APP_ORDER:
-        r = run_experiment(app, "erc", n_procs=n_procs, classify=True, small=small)
-        data[app] = r.classifier.percentages()
+    data = {
+        app: r.classifier.percentages()
+        for (app, _proto), r in _cells("t2", n_procs, small).items()
+    }
     lines = [
         "Table 2: Classification of misses under eager release consistency",
         f"{'Application':<12} {'Cold':>7} {'True':>7} {'False':>7} {'Evict':>7} {'Write':>7}",
@@ -269,12 +252,9 @@ def table2_miss_classification(n_procs: int = 64, small: bool = False) -> Tuple[
 # ---------------------------------------------------------------------------
 
 def table3_miss_rates(n_procs: int = 64, small: bool = False) -> Tuple[Dict, str]:
-    data = {}
-    for app in APP_ORDER:
-        data[app] = {
-            proto: run_experiment(app, proto, n_procs=n_procs, small=small).miss_rate
-            for proto in ("erc", "lrc", "lrc-ext", "tardis")
-        }
+    data: Dict[str, Dict[str, float]] = {}
+    for (app, proto), r in _cells("t3", n_procs, small).items():
+        data.setdefault(app, {})[proto] = r.miss_rate
     lines = [
         "Table 3: Miss rates for the implementations of release consistency",
         f"{'Application':<12} {'Eager':>8} {'Lazy':>8} {'Lazy-ext':>9} {'Tardis':>8}",
@@ -293,20 +273,20 @@ def table3_miss_rates(n_procs: int = 64, small: bool = False) -> Tuple[Dict, str
 # ---------------------------------------------------------------------------
 
 def _normalized_times(
-    protocols: List[str], kind: str, n_procs: int, small: bool
-) -> Dict[str, Dict[str, float]]:
+    artifact: str, n_procs: int, small: bool
+) -> Tuple[Dict[str, Dict[str, float]], Tuple[str, ...]]:
+    cells = _cells(artifact, n_procs, small)
+    protocols = _FIGURES[artifact][1]
     data: Dict[str, Dict[str, float]] = {}
     for app in APP_ORDER:
-        sc = run_experiment(app, "sc", kind=kind, n_procs=n_procs, small=small)
-        row = {"sc": 1.0}
+        base = cells[app, "sc"].exec_time
+        data[app] = {"sc": 1.0}
         for proto in protocols:
-            r = run_experiment(app, proto, kind=kind, n_procs=n_procs, small=small)
-            row[proto] = r.exec_time / sc.exec_time
-        data[app] = row
-    return data
+            data[app][proto] = cells[app, proto].exec_time / base
+    return data, protocols
 
 
-def _render_times(title: str, data: Dict, protocols: List[str]) -> str:
+def _render_times(title: str, data: Dict, protocols: Sequence[str]) -> str:
     lines = [title, f"{'Application':<12}" + "".join(f"{p:>10}" for p in protocols)]
     for app in APP_ORDER:
         lines.append(
@@ -318,17 +298,16 @@ def _render_times(title: str, data: Dict, protocols: List[str]) -> str:
 
 
 def figure4_normalized_time(n_procs: int = 64, small: bool = False) -> Tuple[Dict, str]:
-    data = _normalized_times(["erc", "lrc"], "default", n_procs, small)
+    data, protos = _normalized_times("f4", n_procs, small)
     return data, _render_times(
         f"Figure 4: Normalized execution time, lazy vs eager RC ({n_procs} processors)",
         data,
-        ["erc", "lrc"],
+        protos,
     )
 
 
 def figure6_lazier(n_procs: int = 64, small: bool = False) -> Tuple[Dict, str]:
-    protos = ["lrc", "lrc-ext", "tardis"]
-    data = _normalized_times(protos, "default", n_procs, small)
+    data, protos = _normalized_times("f6", n_procs, small)
     return data, _render_times(
         f"Figure 6: Normalized execution time, lazy vs lazy-extended vs tardis "
         f"({n_procs} processors)",
@@ -338,8 +317,7 @@ def figure6_lazier(n_procs: int = 64, small: bool = False) -> Tuple[Dict, str]:
 
 
 def figure8_future(n_procs: int = 64, small: bool = False) -> Tuple[Dict, str]:
-    protos = ["erc", "lrc", "lrc-ext", "tardis"]
-    data = _normalized_times(protos, "future", n_procs, small)
+    data, protos = _normalized_times("f8", n_procs, small)
     return data, _render_times(
         "Figure 8: Performance trends on the future machine "
         "(40-cycle setup, 4 B/cycle, 256-byte lines)",
@@ -353,22 +331,21 @@ def figure8_future(n_procs: int = 64, small: bool = False) -> Tuple[Dict, str]:
 # ---------------------------------------------------------------------------
 
 def _breakdowns(
-    protocols: List[str], kind: str, n_procs: int, small: bool
-) -> Dict[str, Dict[str, Dict[str, float]]]:
+    artifact: str, n_procs: int, small: bool
+) -> Tuple[Dict[str, Dict[str, Dict[str, float]]], Tuple[str, ...]]:
+    cells = _cells(artifact, n_procs, small)
+    protocols = _FIGURES[artifact][1]
     data: Dict[str, Dict[str, Dict[str, float]]] = {}
     for app in APP_ORDER:
-        sc = run_experiment(app, "sc", kind=kind, n_procs=n_procs, small=small)
-        base = sc.stats.total_cycles
+        base = cells[app, "sc"].stats.total_cycles
         data[app] = {
-            proto: run_experiment(
-                app, proto, kind=kind, n_procs=n_procs, small=small
-            ).stats.breakdown_normalized(base)
+            proto: cells[app, proto].stats.breakdown_normalized(base)
             for proto in protocols
         }
-    return data
+    return data, protocols
 
 
-def _render_breakdown(title: str, data: Dict, protocols: List[str]) -> str:
+def _render_breakdown(title: str, data: Dict, protocols: Sequence[str]) -> str:
     lines = [
         title,
         f"{'Application':<12}{'proto':>9}{'cpu':>8}{'read':>8}{'write':>8}{'sync':>8}{'total':>8}",
@@ -386,8 +363,7 @@ def _render_breakdown(title: str, data: Dict, protocols: List[str]) -> str:
 
 
 def figure5_breakdown(n_procs: int = 64, small: bool = False) -> Tuple[Dict, str]:
-    protos = ["lrc", "erc", "sc"]
-    data = _breakdowns(protos, "default", n_procs, small)
+    data, protos = _breakdowns("f5", n_procs, small)
     return data, _render_breakdown(
         f"Figure 5: Overhead analysis, lazy / eager / SC ({n_procs} processors)",
         data,
@@ -396,8 +372,7 @@ def figure5_breakdown(n_procs: int = 64, small: bool = False) -> Tuple[Dict, str
 
 
 def figure7_lazier_breakdown(n_procs: int = 64, small: bool = False) -> Tuple[Dict, str]:
-    protos = ["lrc", "lrc-ext", "tardis", "sc"]
-    data = _breakdowns(protos, "default", n_procs, small)
+    data, protos = _breakdowns("f7", n_procs, small)
     return data, _render_breakdown(
         f"Figure 7: Overhead analysis, lazy / lazy-extended / SC ({n_procs} processors)",
         data,
@@ -406,8 +381,7 @@ def figure7_lazier_breakdown(n_procs: int = 64, small: bool = False) -> Tuple[Di
 
 
 def figure9_future_breakdown(n_procs: int = 64, small: bool = False) -> Tuple[Dict, str]:
-    protos = ["lrc", "lrc-ext", "tardis", "erc", "sc"]
-    data = _breakdowns(protos, "future", n_procs, small)
+    data, protos = _breakdowns("f9", n_procs, small)
     return data, _render_breakdown(
         "Figure 9: Overhead analysis on the future machine "
         "(lazy / lazier / eager / SC)",
@@ -421,24 +395,24 @@ def figure9_future_breakdown(n_procs: int = 64, small: bool = False) -> Tuple[Di
 # ---------------------------------------------------------------------------
 
 def sensitivity_sweep(
-    app: str = "mp3d",
-    n_procs: int = 16,
+    app: str = _SWEEP_APP,
+    n_procs: int = _SWEEP_MAX_PROCS,
     small: bool = False,
 ) -> Tuple[List[Dict], str]:
     """The text's parameter sweeps: vary memory latency, bandwidth and
     cache line size; report the lazy/eager execution-time ratio."""
-    rows = []
-    for label, over in SWEEP_VARIANTS:
-        erc = run_experiment(app, "erc", n_procs=n_procs, small=small, **over)
-        lrc = run_experiment(app, "lrc", n_procs=n_procs, small=small, **over)
-        rows.append(
-            {
-                "variant": label,
-                "ratio": lrc.exec_time / erc.exec_time,
-                "erc": erc.exec_time,
-                "lrc": lrc.exec_time,
-            }
+    results = [run_spec(s) for s in _sweep_specs(app, n_procs, small)]
+    rows = [
+        {
+            "variant": label,
+            "ratio": lrc.exec_time / erc.exec_time,
+            "erc": erc.exec_time,
+            "lrc": lrc.exec_time,
+        }
+        for (label, _over), erc, lrc in zip(
+            SWEEP_VARIANTS, results[0::2], results[1::2]
         )
+    ]
     lines = [
         f"Sensitivity sweep ({APP_LABELS[app]}, {n_procs} processors): lazy/eager time ratio",
         f"{'variant':<20}{'lazy/eager':>12}",
@@ -446,3 +420,31 @@ def sensitivity_sweep(
     for r in rows:
         lines.append(f"{r['variant']:<20}{r['ratio']:>12.3f}")
     return rows, "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# Rendering any artifact by key
+# ---------------------------------------------------------------------------
+
+_ARTIFACT_FUNCS = {
+    "t2": table2_miss_classification,
+    "t3": table3_miss_rates,
+    "f4": figure4_normalized_time,
+    "f5": figure5_breakdown,
+    "f6": figure6_lazier,
+    "f7": figure7_lazier_breakdown,
+    "f8": figure8_future,
+    "f9": figure9_future_breakdown,
+}
+
+
+def render_artifact(artifact: str, n_procs: int = 64, small: bool = False) -> str:
+    """The text block of one artifact in :data:`ARTIFACT_KEYS`, computed
+    from exactly the cells :func:`artifact_specs` lists for it."""
+    if artifact == "t1":
+        return table1()
+    if artifact == "sweep":
+        return sensitivity_sweep(
+            _SWEEP_APP, min(n_procs, _SWEEP_MAX_PROCS), small
+        )[1]
+    return _ARTIFACT_FUNCS[artifact](n_procs, small)[1]

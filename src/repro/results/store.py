@@ -407,7 +407,7 @@ class ResultStore:
 def default_store() -> Optional[ResultStore]:
     """The process-wide store, or None when disk caching is off.
 
-    Library calls (``run_experiment`` / ``run_spec``) touch disk only
+    Library calls (``run_spec``, ``ExperimentSpec.run``) touch disk only
     when ``REPRO_RESULTS_DIR`` is set, keeping tests hermetic; the
     ``python -m repro figures`` CLI passes a store explicitly.
     """

@@ -1,37 +1,45 @@
-"""Tests for the public convenience API (build_machine / run_app / simulate):
-``protocol`` and ``classify`` configure the machine a context-built app
-runs on."""
+"""Tests for the public entry points: a preset app runs by name through
+``ExperimentSpec`` + ``run_spec``, a context-built app through
+``simulate``; ``protocol`` and ``classify`` configure the machine either
+way."""
 
-from repro import SystemConfig, build_machine, run_app, simulate
-from repro.apps import AppContext, Gauss
+from repro import ExperimentSpec, SystemConfig, run_spec, simulate
+from repro.apps import Gauss
+from repro.core import MachineConfig
 
 
 def cfg(n=2):
     return SystemConfig.scaled(n_procs=n, cache_size=8 * 128)
 
 
+def spec(protocol="lrc", classify=False):
+    return ExperimentSpec(
+        "gauss", protocol, n_procs=2, small=True, classify=classify
+    )
+
+
 class TestBuildMachine:
     def test_protocol_and_classifier_wiring(self):
-        m = build_machine(cfg(), protocol="erc", classify=True)
+        m = MachineConfig(cfg(), protocol="erc", classify=True).build()
         assert m.protocol_name == "erc"
         assert m.classifier is not None
-        assert build_machine(cfg()).classifier is None
+        assert MachineConfig(cfg()).build().classifier is None
 
 
 class TestRunApp:
     def test_runs_on_the_apps_machine(self):
-        # A context-built app runs on a fresh machine of its own config,
-        # lrc and unclassified unless told otherwise.
-        r = run_app(Gauss(AppContext(cfg()), n=8))
+        # A preset app runs on the machine its spec describes, unclassified
+        # unless told otherwise.
+        s = spec()
+        r = run_spec(s)
         assert r.exec_time > 0 and r.protocol == "lrc"
-        assert r.config == cfg() and r.classifier is None
+        assert r.config == s.config() and r.classifier is None
 
     def test_protocol_assertion_matches(self):
-        app = Gauss(AppContext(cfg()), n=8)
-        assert run_app(app, protocol="erc").protocol == "erc"
+        assert run_spec(spec("erc")).protocol == "erc"
 
     def test_classify_assertion_propagates(self):
-        r = run_app(Gauss(AppContext(cfg()), n=8), classify=True)
+        r = run_spec(spec(classify=True))
         assert r.classifier is not None
         assert r.classifier.total > 0
 

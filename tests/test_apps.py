@@ -36,7 +36,7 @@ def ctx(n=4, **kw):
     return AppContext(SystemConfig.scaled(n_procs=n, **kw))
 
 
-def run_app(name, n=4, proto="lrc", **params):
+def run_tiny(name, n=4, proto="lrc", **params):
     m = machine(n, proto)
     p = dict(TINY[name]); p.update(params)
     app = APPS[name](AppContext(m.config), **p)
@@ -54,14 +54,14 @@ class TestRegistry:
     @pytest.mark.parametrize("name", sorted(TINY))
     def test_apps_complete_on_all_protocols(self, name):
         for proto in ("sc", "erc", "lrc", "lrc-ext"):
-            r, _ = run_app(name, proto=proto)
+            r, _ = run_tiny(name, proto=proto)
             assert r.exec_time > 0
             assert r.stats.references > 0
 
     @pytest.mark.parametrize("name", sorted(TINY))
     def test_apps_deterministic(self, name):
-        a, _ = run_app(name)
-        b, _ = run_app(name)
+        a, _ = run_tiny(name)
+        b, _ = run_tiny(name)
         assert a.exec_time == b.exec_time
         assert a.stats.references == b.stats.references
         assert a.traffic.total_messages == b.traffic.total_messages
@@ -71,14 +71,14 @@ class TestRegistry:
         """The front end emits the same workload to every protocol."""
         counts = set()
         for proto in ("sc", "erc", "lrc"):
-            r, _ = run_app(name, proto=proto)
+            r, _ = run_tiny(name, proto=proto)
             counts.add(r.stats.references)
         assert len(counts) == 1
 
 
 class TestGauss:
     def test_reference_volume_scales_as_n_cubed(self):
-        small, _ = run_app("gauss", n=2, proto="lrc")
+        small, _ = run_tiny("gauss", n=2, proto="lrc")
         big_m = machine(2)
         app = Gauss(AppContext(big_m.config), n=48)
         big = big_m.replay(RecordedStream.record(app))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.machine import Machine
 from repro.engine import EventQueue, Resource, Simulator
 from repro.engine.simulator import DeadlockError
 from repro.harness.spec import ExperimentSpec
@@ -230,7 +231,7 @@ class TestEventsPerMessage:
         events, counts = self.CASES[case]
         spec = ExperimentSpec(app, protocol, n_procs=n_procs, small=True)
         # No stall watchdog: its checks are events too.
-        machine = spec.machine_config().with_(stall_cycles=0).build()
+        machine = Machine(spec.config(), protocol=protocol, stall_cycles=0)
         machine.replay(spec.recorded_stream())
         assert machine.sim.events_processed == events
         assert {

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness import run_experiment
+from repro.harness import ExperimentSpec, run_spec
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 PROTOCOLS = ("sc", "erc", "lrc", "lrc-ext", "tardis")
@@ -31,8 +31,8 @@ N_PROCS = 4
 def snapshot(app: str) -> dict:
     out = {"app": app, "n_procs": N_PROCS, "protocols": {}}
     for proto in PROTOCOLS:
-        r = run_experiment(
-            app, proto, n_procs=N_PROCS, small=True, classify=True,
+        r = run_spec(
+            ExperimentSpec(app, proto, n_procs=N_PROCS, small=True, classify=True)
         )
         out["protocols"][proto] = {
             "exec_time": r.exec_time,

@@ -4,13 +4,15 @@ import pytest
 
 from repro.harness import (
     APP_PRESETS,
+    ExperimentSpec,
     bench_config,
     clear_cache,
     future_config,
-    run_experiment,
+    run_spec,
     sensitivity_sweep,
     table1,
 )
+from repro.harness import experiments
 from repro.harness.presets import APP_LABELS, APP_ORDER, APP_PRESETS_SMALL
 from repro.stats.report import breakdown_bar, format_table
 
@@ -46,37 +48,41 @@ class TestPresets:
         assert c.n_procs == 8 and c.line_size == 64
 
 
+def mp3d(protocol="lrc", **fields):
+    return ExperimentSpec("mp3d", protocol, n_procs=4, small=True, **fields)
+
+
 class TestRunExperiment:
     def test_small_experiment_runs(self):
-        r = run_experiment("mp3d", "lrc", n_procs=4, small=True)
+        r = run_spec(mp3d())
         assert r.exec_time > 0
         assert r.protocol == "lrc"
 
     def test_cache_returns_same_object(self):
-        a = run_experiment("mp3d", "lrc", n_procs=4, small=True)
-        b = run_experiment("mp3d", "lrc", n_procs=4, small=True)
+        a = run_spec(mp3d())
+        b = run_spec(mp3d())
         assert a is b
 
     def test_cache_distinguishes_overrides(self):
-        a = run_experiment("mp3d", "lrc", n_procs=4, small=True)
-        b = run_experiment("mp3d", "lrc", n_procs=4, small=True, line_size=64)
+        a = run_spec(mp3d())
+        b = run_spec(mp3d(overrides={"line_size": 64}))
         assert a is not b
         assert b.config.line_size == 64
 
     def test_clear_cache(self):
-        a = run_experiment("mp3d", "lrc", n_procs=4, small=True)
+        a = run_spec(mp3d())
         clear_cache()
-        b = run_experiment("mp3d", "lrc", n_procs=4, small=True)
+        b = run_spec(mp3d())
         assert a is not b
         # Determinism: same numbers even from distinct runs.
         assert a.exec_time == b.exec_time
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            run_experiment("mp3d", "lrc", kind="quantum", n_procs=4, small=True)
+            mp3d(kind="quantum")
 
     def test_classifier_attached_when_requested(self):
-        r = run_experiment("mp3d", "erc", n_procs=4, small=True, classify=True)
+        r = run_spec(mp3d("erc", classify=True))
         assert r.classifier is not None
         assert r.classifier.total > 0
 
@@ -99,3 +105,23 @@ class TestRendering:
         rows, text = sensitivity_sweep(app="mp3d", n_procs=4, small=True)
         assert len(rows) == 5
         assert "baseline" in text
+
+
+class TestArtifactContract:
+    """Each artifact renders from exactly the cells ``artifact_specs``
+    lists for it, so prefetching those cells covers the rendering."""
+
+    @pytest.mark.parametrize("key", experiments.ARTIFACT_KEYS)
+    def test_render_requests_exactly_the_artifact_specs(self, key, monkeypatch):
+        canned = ExperimentSpec(
+            "gauss", "erc", n_procs=2, small=True, classify=True
+        ).run()
+        requested = set()
+
+        def fake_run_spec(spec, store=None):
+            requested.add(spec)
+            return canned
+
+        monkeypatch.setattr(experiments, "run_spec", fake_run_spec)
+        assert experiments.render_artifact(key, 8, True)
+        assert requested == set(experiments.artifact_specs(key, 8, True))

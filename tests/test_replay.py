@@ -15,9 +15,11 @@ Four layers:
   (in-process memo), and a second sweep against the same on-disk store
   performs zero record phases; streams round-trip through their
   serialized form and corrupt blobs degrade to cache misses;
-* **API** — the App→Stream surface: ``AppContext`` construction, the
-  two ``run_app`` shapes and ``MachineConfig``.
+* **API** — the App→Stream surface: ``AppContext`` construction,
+  ``ExperimentSpec.run`` against ``simulate`` and ``MachineConfig``.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 from repro import SystemConfig
 from repro.apps import APPS, AppContext, Gauss
 from repro.conformance.shadow import ValueModel
-from repro.core import MachineConfig, run_app, simulate
+from repro.core import MachineConfig, simulate
 from repro.engine.replay import READ_SPAN, RW_SPAN, WRITE_SPAN, compile_stream
 from repro.harness.spec import ExperimentSpec
 from repro.program.ops import FENCE, READ, READ_RUN, RW_RUN, WRITE, WRITE_RUN
@@ -334,17 +336,11 @@ class TestAppApi:
         with pytest.raises(TypeError, match="AppContext"):
             Gauss(machine, n=24)
 
-    def test_run_app_shapes_agree(self):
+    def test_spec_run_agrees_with_simulate(self):
+        # The two entry points, on the same config and app params.
         spec = small_spec("gauss", "sc")
-        by_name = run_app("gauss", protocol="sc", n_procs=4, small=True)
-        c = spec.machine_config().config
-        via_ctx = run_app(Gauss(AppContext(c), **spec.app_params()), protocol="sc")
-        assert by_name.to_dict() == via_ctx.to_dict()
-
-    def test_spec_fields_only_apply_to_names(self):
-        app = Gauss(AppContext(cfg()), n=24)
-        with pytest.raises(TypeError):
-            run_app(app, n_procs=8)
+        via_ctx = simulate(Gauss, spec.config(), "sc", **spec.app_params())
+        assert spec.run().to_dict() == via_ctx.to_dict()
 
     def test_context_app_has_no_machine(self):
         app = Gauss(AppContext(cfg()), n=24)
@@ -356,6 +352,6 @@ class TestAppApi:
         machine = mc.build()
         assert machine.protocol_name == "erc"
         assert machine.classifier is not None
-        mc2 = mc.with_(protocol="sc", classify=False)
+        mc2 = dataclasses.replace(mc, protocol="sc", classify=False)
         assert (mc2.protocol, mc2.classify) == ("sc", False)
         assert mc2.config is mc.config

@@ -1,10 +1,10 @@
 """Tests for the ExperimentSpec currency (fingerprints, round-trips,
-back-compat with the run_experiment keyword API)."""
+memoized execution through run_spec)."""
 
 import pytest
 
 from repro.harness import experiments
-from repro.harness.experiments import clear_cache, run_experiment, run_spec
+from repro.harness.experiments import clear_cache, run_spec
 from repro.harness.spec import SPEC_VERSION, ExperimentSpec
 
 
@@ -146,14 +146,15 @@ class TestTransientFields:
 
 
 class TestBackCompat:
-    def test_run_experiment_builds_the_same_memo_entry(self):
+    def test_equal_specs_share_one_memo_entry(self):
         clear_cache()
-        r1 = run_experiment("mp3d", "lrc", n_procs=4, small=True, line_size=64)
-        spec = ExperimentSpec(
+        r1 = run_spec(ExperimentSpec(
             "mp3d", "lrc", n_procs=4, small=True, overrides={"line_size": 64}
-        )
-        r2 = run_spec(spec)
-        assert r1 is r2  # same memo entry: one simulation, two front doors
+        ))
+        r2 = run_spec(ExperimentSpec(
+            "mp3d", "lrc", n_procs=4, small=True, overrides=(("line_size", 64),)
+        ))
+        assert r1 is r2  # dict and tuple overrides: one simulation
 
     def test_unknown_module_attr_still_raises(self):
         with pytest.raises(AttributeError):
