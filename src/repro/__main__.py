@@ -47,25 +47,12 @@ from repro.harness.experiments import (
     run_spec,
 )
 from repro.harness.presets import APP_PRESETS, APP_PRESETS_SMALL
+from repro.harness.runner import ExperimentError
 from repro.harness.spec import ExperimentSpec
 from repro.protocols import REGISTRY, all_names
 from repro.results.store import DEFAULT_ROOT, ResultStore
 from repro.stats.report import format_table
 from repro.trace import LEVELS, Tracer
-
-
-def _campaign_journal(store_root, kind: str, params: dict, resume: bool):
-    """The write-ahead journal for one CLI campaign.
-
-    Campaigns always journal (so any run can be resumed after a crash);
-    ``--resume`` decides whether existing outcomes are honored.  Without
-    it the journal is truncated first — a fresh run, not a continuation.
-    """
-    from repro.results.journal import CampaignJournal
-
-    if not resume:
-        CampaignJournal.for_campaign(store_root, kind, params).clear()
-    return CampaignJournal.for_campaign(store_root, kind, params)
 
 
 def _cmd_list(_args) -> int:
@@ -141,61 +128,30 @@ def _cmd_figures(args) -> int:
     if args.check_invariants:
         specs = [s.with_(check_invariants=True) for s in specs]
 
-    # Campaign journal (cells are spec fingerprints): a crashed sweep
-    # resumed with --resume re-reports journaled failures without
-    # re-running them, and journaled successes load straight from the
-    # store.  Cells that were in flight when the sweep died re-run.
-    journal = None
+    # --resume skips every cell the store holds a failure record for,
+    # recorded by a run of exactly this spec (a record from a
+    # --check-invariants run does not stand for an unchecked one), and
+    # re-reports it.  Cells that were in flight when a sweep died have
+    # no record and re-run; finished cells load from the store.
     failures = {}
-    todo = specs
-    if store is not None:
-        from repro.results.store import RunFailure
-
-        journal = _campaign_journal(
-            store.root, "figures",
-            {"artifacts": list(wanted), "procs": n, "small": small,
-             "check_invariants": bool(args.check_invariants)},
-            args.resume,
-        )
-        completed = journal.completed()
-        todo = []
+    if store is not None and args.resume:
         for spec in specs:
-            entry = completed.get(spec.fingerprint())
-            if entry is not None and entry["op"] == "fail":
-                failures[spec] = RunFailure(
-                    kind=entry["data"]["kind"],
-                    message=entry["data"]["message"],
-                    traceback="",
-                    fingerprint=spec.fingerprint(),
-                    spec=spec.to_dict(),
-                )
-            else:
-                todo.append(spec)
-        if len(todo) < len(specs):
+            failure = store.load_failure(spec)
+            if failure is not None and failure.spec == spec.to_dict():
+                failures[spec] = failure
+        if failures:
             print(
-                f"repro figures: resume: {len(specs) - len(todo)} of "
-                f"{len(specs)} cells journaled as failed, skipping them",
+                f"repro figures: resume: {len(failures)} of {len(specs)} "
+                "cells recorded as failed in the store, skipping them",
                 file=sys.stderr,
             )
-        for spec in todo:
-            if completed.get(spec.fingerprint()) is None:
-                journal.start(spec.fingerprint())
-
-    new_failures = {}
-    prefetch(
-        todo, jobs=args.jobs, store=store, timeout=args.timeout,
-        on_failure="record", failures_out=new_failures,
-    )
-    if journal is not None:
-        for spec in todo:
-            fp = spec.fingerprint()
-            entry = completed.get(fp)
-            if spec in new_failures:
-                f = new_failures[spec]
-                journal.fail(fp, f.kind, f.message)
-            elif entry is None or entry["op"] != "done":
-                journal.done(fp)
-    failures.update(new_failures)
+    try:
+        prefetch(
+            [s for s in specs if s not in failures],
+            jobs=args.jobs, store=store, timeout=args.timeout,
+        )
+    except ExperimentError as exc:
+        failures.update(exc.failures)
     sim_elapsed = time.monotonic() - t0
     if failures:
         print(
@@ -285,32 +241,38 @@ def _format_traffic(traffic: dict) -> str:
 def _cmd_fuzz(args) -> int:
     from repro.conformance import fuzz_run, write_reproducers
     from repro.conformance.fuzz import replay_reproducer
+    from repro.results.journal import CampaignJournal
 
     say = lambda s: print(s, file=sys.stderr)
     if args.replay:
         return replay_reproducer(args.replay, window=args.window, log=say)
     protocols = tuple(args.protocols)
-    journal = _campaign_journal(
-        args.store_dir, "fuzz",
-        {"seed": args.seed, "iters": args.iters, "procs": args.procs,
-         "n_ops": args.n_ops, "protocols": list(protocols),
-         "mode": args.mode, "jitter": args.jitter},
-        args.resume,
-    )
-    summary = fuzz_run(
-        seed=args.seed,
-        iters=args.iters,
-        n_procs=args.procs,
-        n_ops=args.n_ops,
-        protocols=protocols,
-        mode=args.mode,
-        do_minimize=args.minimize,
-        jobs=args.jobs,
-        window=args.window,
-        jitter=args.jitter,
-        log=say,
-        journal=journal,
-    )
+    # The campaign always journals, so any run can be resumed after a
+    # crash; without --resume the journal is truncated first.
+    params = {"seed": args.seed, "iters": args.iters, "procs": args.procs,
+              "n_ops": args.n_ops, "protocols": list(protocols),
+              "mode": args.mode, "jitter": args.jitter}
+    if not args.resume:
+        CampaignJournal.for_campaign(args.store_dir, "fuzz", params).clear()
+    journal = CampaignJournal.for_campaign(args.store_dir, "fuzz", params)
+    try:
+        summary = fuzz_run(
+            seed=args.seed,
+            iters=args.iters,
+            n_procs=args.procs,
+            n_ops=args.n_ops,
+            protocols=protocols,
+            mode=args.mode,
+            do_minimize=args.minimize,
+            jobs=args.jobs,
+            window=args.window,
+            jitter=args.jitter,
+            log=say,
+            journal=journal,
+        )
+    except ExperimentError as exc:
+        say(f"fuzz: {exc}; rerun with --resume to finish the campaign")
+        return 1
     failures = summary["failures"]
     if args.jitter:
         say("jitter: " + _format_traffic(summary.get("traffic", {})))
@@ -380,17 +342,17 @@ def main(argv=None) -> int:
     )
     p_fig.add_argument(
         "--timeout", type=float, default=None,
-        help="per-experiment timeout in seconds (one retry on expiry)",
+        help="per-experiment timeout in seconds; an experiment that "
+        "exceeds it is recorded as a timeout failure (not retried)",
     )
     p_fig.add_argument("--check-invariants", action="store_true", help=check_help)
-    resume_help = (
-        "continue an interrupted campaign from its write-ahead journal: "
-        "cells with a journaled outcome are skipped (their data reused "
-        "verbatim — artifacts come out bit-identical), cells that were "
-        "in flight re-run; without this flag the journal is truncated "
-        "and the campaign starts fresh"
+    p_fig.add_argument(
+        "--resume", action="store_true",
+        help="continue an interrupted sweep from the result store: "
+        "finished cells load from it, and cells it holds a failure "
+        "record for are re-reported without re-running; without this "
+        "flag failed cells run again",
     )
-    p_fig.add_argument("--resume", action="store_true", help=resume_help)
 
     p_tr = sub.add_parser(
         "trace",
@@ -475,7 +437,14 @@ def main(argv=None) -> int:
         help="directory holding the campaign journal "
         f"(default {DEFAULT_ROOT})",
     )
-    p_fz.add_argument("--resume", action="store_true", help=resume_help)
+    p_fz.add_argument(
+        "--resume", action="store_true",
+        help="continue an interrupted campaign from its write-ahead "
+        "journal: iterations with a journaled outcome are skipped (their "
+        "outcome reused verbatim, so the report comes out bit-identical), "
+        "iterations that were in flight re-run; without this flag the "
+        "journal is truncated and the campaign starts fresh",
+    )
 
     args = ap.parse_args(argv)
     if args.cmd == "list":

@@ -31,7 +31,7 @@ Three presets are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 
@@ -214,7 +214,3 @@ class SystemConfig:
         over.setdefault("net_bw", 4.0)
         over.setdefault("line_size", 256)
         return cls(n_procs=n_procs, cache_size=cache_size, **over)
-
-    def with_(self, **over) -> "SystemConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **over)

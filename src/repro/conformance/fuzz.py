@@ -41,6 +41,7 @@ from repro.conformance.minimize import minimize
 from repro.conformance.oracle import COUNT_KEYS, OracleResult, interpret, token_str
 from repro.conformance.program import ProgramSpec
 from repro.conformance.shadow import ConformanceViolation
+from repro.harness.runner import ExperimentError, WorkerDied, process_map
 from repro.protocols import all_names
 
 PROTOCOLS_UNDER_TEST = all_names()
@@ -388,11 +389,14 @@ def fuzz_run(
     protocol.  Returns a summary dict; ``summary["failures"]`` is empty
     iff every run agreed with the oracle.
 
-    Every iteration runs through :func:`fuzz_iteration`: in-process for
-    ``jobs == 1``, otherwise mapped in seed order over a pool of
-    ``jobs`` worker processes.  The parent journals, logs and sums the
-    outcomes as they arrive in seed order, so the summary and the log
-    lines do not depend on ``jobs``.
+    Every iteration runs through :func:`fuzz_iteration`, mapped in seed
+    order by :func:`repro.harness.runner.process_map`: in-process for
+    ``jobs == 1``, otherwise over ``jobs`` worker processes.  The parent
+    journals, logs and sums the outcomes as they arrive in seed order,
+    so the summary and the log lines do not depend on ``jobs``.  If a
+    worker process dies, every other outcome is still journaled, and
+    :class:`~repro.harness.runner.ExperimentError` then names the seeds
+    left without one.
 
     ``jitter`` runs every program on the jitter fabric, seeded by the
     program's own seed; the oracle comparison is unchanged,
@@ -428,19 +432,8 @@ def fuzz_run(
         protocols=protocols, mode=mode, do_minimize=do_minimize,
         window=window, jitter=jitter,
     )
-    with contextlib.ExitStack() as stack:
-        if jobs > 1 and len(remaining) > 1:
-            from repro.harness.runner import _pool_context
-
-            # Forked where available, so workers see protocols registered
-            # at run time (as tests register broken ones); the campaign
-            # starts no threads before this point.
-            pool = stack.enter_context(
-                _pool_context().Pool(min(jobs, len(remaining)))
-            )
-            outcomes = pool.imap(run, remaining)
-        else:
-            outcomes = map(run, remaining)
+    lost: List[int] = []
+    with contextlib.closing(process_map(run, remaining, jobs)) as outcomes:
         for i, it_seed in enumerate(seeds):
             if it_seed in prior:
                 data = prior[it_seed]
@@ -450,7 +443,11 @@ def fuzz_run(
             cell = f"iter-{it_seed}"
             if journal is not None:
                 journal.start(cell)
-            fs, it_traffic = next(outcomes)
+            outcome = next(outcomes)
+            if isinstance(outcome, WorkerDied):
+                lost.append(it_seed)
+                continue
+            fs, it_traffic = outcome
             _add_traffic(traffic, it_traffic)
             if journal is not None:
                 journal.done(cell, {"failures": fs, "traffic": it_traffic})
@@ -468,6 +465,11 @@ def fuzz_run(
                 )
             if not fs and (i + 1) % 10 == 0:
                 say(f"{i + 1}/{iters} iterations clean")
+    if lost:
+        raise ExperimentError(
+            "a worker process died; no outcome for seed(s) "
+            + ", ".join(map(str, lost))
+        )
     return {
         "iters": iters,
         "protocols": list(protocols),

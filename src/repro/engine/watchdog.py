@@ -6,8 +6,9 @@ returns and the ``max_cycles`` ceiling — sized for the slowest *healthy*
 run — takes ages to trip.  The :class:`StallWatchdog` raises a
 structured :class:`SimulationStall` as soon as *no processor commits an
 operation* for ``interval`` simulated cycles, carrying the trace window
-around the stall when a tracer is attached.  ``run_parallel`` workers
-enable it by default, so a livelocked spec becomes a persisted
+around the stall when a tracer is attached.  The experiment runner's
+pool workers (:func:`repro.harness.runner.run_specs`) enable it by
+default, so a livelocked spec becomes a persisted
 :class:`~repro.results.store.RunFailure` instead of a hung pool.
 
 The watchdog is pure observation: its periodic check reads counters and
@@ -28,7 +29,7 @@ DEFAULT_STALL_CYCLES = 5_000_000
 
 #: Environment variable enabling the watchdog process-wide (cycles;
 #: unset or "0" = off).  ``tests/conftest.py`` sets it so tier-1 can
-#: never hang CI, and ``run_parallel`` workers default it on.
+#: never hang CI, and the experiment runner's pool workers default it on.
 ENV_STALL_CYCLES = "REPRO_STALL_CYCLES"
 
 

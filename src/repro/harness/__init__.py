@@ -2,7 +2,7 @@
 
 from repro.harness.presets import APP_PRESETS, bench_config, future_config
 from repro.harness.spec import ExperimentSpec
-from repro.harness.runner import ExperimentError, run_parallel, run_serial
+from repro.harness.runner import ExperimentError, run_specs
 from repro.harness.experiments import (
     ARTIFACT_KEYS,
     all_artifact_specs,
@@ -41,9 +41,8 @@ __all__ = [
     "future_config",
     "prefetch",
     "render_artifact",
-    "run_parallel",
-    "run_serial",
     "run_spec",
+    "run_specs",
     "sensitivity_sweep",
     "table1",
     "table2_miss_classification",

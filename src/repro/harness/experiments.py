@@ -15,9 +15,10 @@ executor, :func:`run_spec`:
   results are also served from / saved to disk, keyed by
   ``spec.fingerprint()``, making warm re-runs near-instant across
   processes and sessions;
-* :func:`prefetch` fans a list of specs out over the parallel runner
-  (:mod:`repro.harness.runner`) and warms the memo, so the artifact
-  functions below then render from memory.
+* :func:`prefetch` runs a list of specs through the experiment runner
+  (:mod:`repro.harness.runner`), over worker processes when asked, and
+  warms the memo, so the artifact functions below then render from
+  memory.
 """
 
 from __future__ import annotations
@@ -67,31 +68,38 @@ def prefetch(
     jobs: int = 1,
     store=_UNSET,
     timeout: Optional[float] = None,
-    on_failure: str = "raise",
-    failures_out=None,
 ) -> Dict[ExperimentSpec, RunResult]:
     """Warm the memo for ``specs``, in parallel when ``jobs > 1``.
 
     After this returns, the table/figure functions below render the
-    covered artifacts without running any simulation.  With
-    ``on_failure="record"`` failed specs are persisted as
-    :class:`~repro.results.store.RunFailure` records (and reported via
-    ``failures_out``) instead of aborting the sweep; they are then
-    absent from the returned dict.
+    covered artifacts without running any simulation.  Every cell runs
+    even when others fail: each success warms the memo (and the store),
+    each failure is persisted as a
+    :class:`~repro.results.store.RunFailure`, and if any cell failed
+    :class:`~repro.harness.runner.ExperimentError` is raised at the
+    end, carrying the failures.
     """
     from repro.harness import runner
 
     if store is _UNSET:
         store = default_store()
     missing = [s for s in dict.fromkeys(specs) if s not in _MEMO]
-    if missing:
-        _MEMO.update(
-            runner.run_parallel(
-                missing, jobs=jobs, store=store, timeout=timeout,
-                on_failure=on_failure, failures_out=failures_out,
-            )
+    failures = {}
+    for spec, outcome in runner.run_specs(missing, jobs, store, timeout).items():
+        if isinstance(outcome, RunResult):
+            _MEMO[spec] = outcome
+        else:
+            failures[spec] = outcome
+    if failures:
+        raise runner.ExperimentError(
+            f"{len(failures)} of {len(missing)} experiments failed: "
+            + "; ".join(
+                f"{spec.label()}: {f.kind}: {f.message}"
+                for spec, f in failures.items()
+            ),
+            failures,
         )
-    return {s: _MEMO[s] for s in specs if s in _MEMO}
+    return {s: _MEMO[s] for s in specs}
 
 
 # ---------------------------------------------------------------------------

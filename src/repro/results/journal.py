@@ -1,8 +1,10 @@
 """Write-ahead campaign journal: resumable long-running sweeps (DESIGN.md §15).
 
-A campaign (``repro figures``, ``repro fuzz``) is a planned list of
-*cells* (experiment specs, fuzz iterations).  The journal records, as an append-only JSONL
-file under the result store, each planned cell and its outcome::
+A campaign (``repro fuzz``) is a planned list of *cells* (its
+iterations, which have no result-store entry; a ``repro figures`` sweep
+resumes from the result store instead).  The journal records, as an
+append-only JSONL file under the result store, each planned cell and
+its outcome::
 
     <store-root>/journal/<kind>-<params-digest>.wal
 

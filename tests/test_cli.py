@@ -259,3 +259,77 @@ def test_figures_resume_finishes_an_interrupted_campaign(
     assert capsys.readouterr().out == reference
     # t3 is 28 cells (4 protocols x 7 apps); 4 finished before the crash.
     assert len(calls) == 24
+
+
+def _stall_on(target, real_run, calls):
+    """An ExperimentSpec.run that stalls ``target`` and logs every call."""
+    from repro.engine.watchdog import SimulationStall
+
+    def run(spec):
+        calls.append(spec)
+        if spec == target:
+            raise SimulationStall("no progress", kind="watchdog", cycle=1)
+        return real_run(spec)
+
+    return run
+
+
+def test_figures_resume_rereports_stored_failures(tmp_path, capsys, monkeypatch):
+    """--resume skips a cell the store holds a failure record for and
+    re-reports it; without --resume the failed cell runs again."""
+    from repro.harness.experiments import clear_cache
+    from repro.harness.spec import ExperimentSpec
+
+    target = ExperimentSpec("mp3d", "lrc", n_procs=4, small=True)
+    real_run = ExperimentSpec.run
+    calls = []
+
+    def figures(*extra):
+        clear_cache()
+        calls.clear()
+        return main(["figures", "--only", "f4", "--procs", "4", "--small",
+                     "--store-dir", str(tmp_path / "rs"), *extra])
+
+    monkeypatch.setattr(ExperimentSpec, "run", _stall_on(target, real_run, calls))
+    assert figures() == 1
+    assert target in calls
+    assert f"{target.label()}: stall: no progress" in capsys.readouterr().err
+
+    assert figures("--resume") == 1
+    assert calls == []
+    err = capsys.readouterr().err
+    assert "resume: 1 of 21 cells recorded as failed" in err
+    assert f"{target.label()}: stall: no progress" in err
+
+    monkeypatch.setattr(ExperimentSpec, "run", _stall_on(None, real_run, calls))
+    assert figures() == 0
+    assert calls == [target]
+    assert "Figure 4" in capsys.readouterr().out
+
+
+def test_figures_resume_reruns_failures_of_checked_runs(
+    tmp_path, capsys, monkeypatch
+):
+    """A failure recorded by a --check-invariants run does not stand for
+    the unchecked spec: an unchecked --resume runs that cell again."""
+    from repro.harness.experiments import clear_cache
+    from repro.harness.spec import ExperimentSpec
+
+    target = ExperimentSpec("mp3d", "lrc", n_procs=4, small=True)
+    real_run = ExperimentSpec.run
+    calls = []
+
+    def figures(*extra):
+        clear_cache()
+        calls.clear()
+        return main(["figures", "--only", "f4", "--procs", "4", "--small",
+                     "--store-dir", str(tmp_path / "rs"), *extra])
+
+    monkeypatch.setattr(ExperimentSpec, "run", _stall_on(target, real_run, calls))
+    assert figures("--check-invariants") == 1
+    capsys.readouterr()
+
+    monkeypatch.setattr(ExperimentSpec, "run", _stall_on(None, real_run, calls))
+    assert figures("--resume") == 0
+    assert calls == [target]
+    assert "Figure 4" in capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Tests for SystemConfig: Table 1 defaults, derived geometry, presets."""
 
+import dataclasses
 import math
 
 import pytest
@@ -97,7 +98,7 @@ class TestPresets:
 
     def test_with_returns_modified_copy(self):
         a = SystemConfig()
-        b = a.with_(line_size=256)
+        b = dataclasses.replace(a, line_size=256)
         assert a.line_size == 128
         assert b.line_size == 256
 
