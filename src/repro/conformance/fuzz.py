@@ -419,7 +419,7 @@ def fuzz_run(
     prior: Dict[int, dict] = {}
     if journal is not None:
         for cell, entry in journal.completed().items():
-            if entry["op"] == "done" and cell.startswith("iter-"):
+            if cell.startswith("iter-"):
                 prior[int(cell[len("iter-"):])] = entry["data"]
         prior = {s: d for s, d in prior.items() if s in set(seeds)}
         if prior:

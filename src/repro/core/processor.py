@@ -2,8 +2,9 @@
 
 Every workload reaches the CPU the same way: as a recorded stream
 compiled by :func:`repro.engine.replay.compile_stream` into a flat list
-of micro-ops (scalar op tuples and same-block spans).  The processor
-walks that list with an integer cursor; there are no generator frames
+of micro-ops (scalar op tuples, same-block spans, and run micro-ops that
+carry a multi-block run's spans).  The processor walks that list with a
+persistent iterator and a ``for`` loop; there are no generator frames
 on the hot path.
 
 Design notes (hot path):
@@ -11,12 +12,16 @@ Design notes (hot path):
 * Cache hits are resolved inline against the raw tag/state lists — a
   read hit costs a few integer ops and no function calls; a write hit on
   a read-write line with a live coalescing-buffer entry is equally flat.
-* A span's tail retires as one batch whenever it provably needs no
-  protocol work (see :mod:`repro.engine.replay` for the two batchable
-  cases); the element that does need the protocol runs alone through
-  the per-element step, and the rest of the span re-qualifies.  With a
-  value model attached every element runs per-element, which makes the
-  value-checked run the differential oracle for the batched one.
+* A fresh span, or a whole run micro-op, retires in one step when it
+  fits before the quantum deadline and every block it touches provably
+  needs no protocol work (see :mod:`repro.engine.replay` for the two
+  batchable cases).  Otherwise the run's spans continue from a second
+  iterator, ``_cur``, through the per-span path: a span's tail retires
+  as one batch, the element that does need the protocol runs alone
+  through the per-element step, and the rest of the span re-qualifies.
+  With a value model attached every element runs per-element, which
+  makes the value-checked run the differential oracle for the batched
+  one.
 * A processor runs in bounded *quanta*: it may advance at most
   ``config.quantum`` cycles past the global clock before rescheduling,
   which bounds the timing skew between processors (important for
@@ -32,12 +37,14 @@ woken (write-buffer full, or SC write miss).
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Optional
 
 from repro.engine.replay import (
     BATCH,
     ELEMENT,
     READ_SPAN,
+    READ_SPANS,
     RW_SPAN,
     SPAN_CONT,
     WRITE_ONLY,
@@ -67,10 +74,12 @@ BUCKET_NAMES = {B_READ: "read", B_WB: "write-buffer", B_SYNC: "sync"}
 class Processor:
     """Drives one node from a compiled micro-program.
 
-    The cursor is a plain index (``_i``) into the micro-program list —
-    slot-based and allocation-free.  Scalar ops block with their own
-    tuple as the pending op; a blocked or split span parks as a
-    :data:`~repro.engine.replay.SPAN_CONT` continuation.
+    The cursor is an iterator: ``_prog`` over the micro-program list,
+    and ``_cur``, which is ``_prog`` or, while a run micro-op goes
+    through the per-span path, an iterator over that run's spans.
+    Scalar ops block with their own tuple as the pending op; a blocked
+    or split span parks as a :data:`~repro.engine.replay.SPAN_CONT`
+    continuation, which runs before ``_cur`` resumes.
     """
 
     __slots__ = (
@@ -80,18 +89,16 @@ class Processor:
         "sim",
         "protocol",
         "stats",
-        "_mops",
-        "_i",
-        "_n",
+        "_prog",
+        "_cur",
         "_pending",
         "_line_shift",
         "_word_mask",
-        "_quantum",
         "done",
         "blocked",
         "_block_t",
         "_block_bucket",
-        "_wt_words",
+        "_env",
         "_wake",
     )
 
@@ -103,27 +110,32 @@ class Processor:
         self.protocol = machine.protocol
         self.stats = node.stats
         cfg = machine.config
-        self._mops: list = []
-        self._i = 0
-        self._n = 0
+        self._prog = self._cur = iter(())
         self._pending = None
         self._line_shift = cfg.line_shift
         self._word_mask = (cfg.line_size // cfg.word_size) - 1
-        self._quantum = cfg.quantum
         self.done = False
         self.blocked = False
         self._block_t = 0
         self._block_bucket = B_READ
-        # Lazy protocols expose the coalescing buffer's word map so the
-        # steady-state write path (RW line, live entry) stays inline.
-        self._wt_words = node.cbuf.words if node.cbuf is not None else None
+        # What a quantum reads that is fixed once the node is built, so a
+        # wake-up unpacks it in one step.  Lazy protocols expose the
+        # coalescing buffer's word map so the steady-state write path (RW
+        # line, live entry) stays inline.
+        cache = node.cache
+        self._env = (
+            self.sim, node, cache.tags, cache.states, cache.set_mask,
+            self._line_shift, self._word_mask, self.stats, self.protocol,
+            node.wb.words if node.wb is not None else None,
+            node.cbuf.words if node.cbuf is not None else None,
+            self.protocol.wb_coalesce_states, self.id, cfg.quantum,
+        )
         # run_quantum bound once: every wake-up schedules this object.
         self._wake = self.run_quantum
 
     def start(self, mops: list) -> None:
         """Load a micro-program and schedule its first quantum at cycle 0."""
-        self._mops = mops
-        self._n = len(mops)
+        self._prog = self._cur = iter(mops)
         self.sim.at(0, self._wake)
 
     # -- blocking ------------------------------------------------------------------
@@ -212,31 +224,21 @@ class Processor:
     # -- the quantum runner ----------------------------------------------------------
 
     def run_quantum(self) -> None:
-        sim = self.sim
+        (
+            sim, node, tags, states, mask, lsh, wmask, stats, prot, wb_words, wt,
+            coalesce, my_id, quantum,
+        ) = self._env
         t = sim.now
-        deadline = t + self._quantum
-        node = self.node
-        cache = node.cache
-        tags = cache.tags
-        states = cache.states
-        mask = cache.set_mask
-        lsh = self._line_shift
-        wmask = self._word_mask
-        stats = self.stats
-        prot = self.protocol
-        wb = node.wb
-        wb_words = wb.words if wb is not None else None
-        wt = self._wt_words
-        coalesce = prot.wb_coalesce_states
-        obs = self.machine.classifier
-        vm = self.machine.valmodel
-        my_id = self.id
-        mops = self._mops
-        i = self._i
-        n = self._n
+        deadline = t + quantum
+        machine = self.machine
+        obs = machine.classifier
+        vm = machine.valmodel
+        prog = self._prog
+        cur = self._cur
         # A value model must see every element, so it runs spans
         # per-element; a classifier takes batched writes as span records.
-        fresh = BATCH if vm is None else ELEMENT
+        fast = vm is None
+        fresh = BATCH if fast else ELEMENT
 
         pend = self._pending
         self._pending = None
@@ -246,247 +248,366 @@ class Processor:
         nr = nw = 0
         try:
             while True:
-                if pend is not None:
-                    op = pend
-                    pend = None
-                elif i < n:
-                    op = mops[i]
-                    i += 1
+                # A parked op runs alone first, then ``cur`` resumes.
+                if pend is None:
+                    ops = cur
                 else:
-                    self._finish(t)
-                    return
-                kind = op[0]
+                    ops = (pend,)
+                    pend = None
+                for op in ops:
+                    kind = op[0]
 
-                # -- block spans ------------------------------------------------
-                if kind >= READ_SPAN:
-                    if kind == READ_SPAN:
-                        _, block, base, count, stride = op
-                        words = None
-                        j = 0
-                        mode = fresh
-                    elif kind != SPAN_CONT:
-                        _, block, base, count, stride, words = op
-                        j = 0
-                        mode = fresh
-                    else:
-                        _, block, base, count, stride, words, j, kind, mode = op
-                        mode = mode or fresh
-                    s = block & mask
-                    while True:
-                        if not mode:
-                            # The one batched-tail block: fresh spans, tails
-                            # after a per-element step, resumed continuations.
-                            if words is None:
-                                batch = (tags[s] == block and states[s]) or (
-                                    wb_words is not None and block in wb_words
-                                )
-                            else:
-                                st = states[s] if tags[s] == block else 0
-                                if st == 2:
-                                    ws = wt.get(block) if wt is not None else None
-                                    batch = wt is None or ws is not None
-                                else:
-                                    ws = wb_words.get(block) if st in coalesce else None
-                                    batch = ws is not None
-                            if batch:
-                                left = deadline - t
-                                m = count - j
-                                if words is None:
-                                    if m > left:
-                                        m = left
-                                    nr += m
-                                    t += m
-                                else:
-                                    rw = kind == RW_SPAN
-                                    if rw:
-                                        left = (left + 1) >> 1
-                                    if m > left:
-                                        m = left
-                                    w = words[j : j + m]
-                                    if obs is not None:
-                                        obs.record_write_span(my_id, t + rw, block, w, 1 + rw)
-                                    if ws is not None:
-                                        ws.update(w)
-                                    nw += m
-                                    if rw:
-                                        nr += m
-                                        t += m
-                                    t += m
-                                j += m
-                                if j < count:
-                                    self._pending = (
-                                        SPAN_CONT, block, base, count, stride, words, j, kind,
-                                        BATCH,
-                                    )
+                    # -- block spans and runs -----------------------------------
+                    if kind >= READ_SPAN:
+                        if kind == READ_SPAN:
+                            _, block, base, count, stride = op
+                            s = block & mask
+                            words = None
+                            j = 0
+                            if not (tags[s] == block and states[s]) and not (
+                                wb_words is not None and block in wb_words
+                            ):
+                                mode = ELEMENT  # element 0 misses
+                            elif fast and count <= deadline - t:
+                                # The whole span hits and fits: one step.
+                                nr += count
+                                t += count
+                                if t >= deadline:
                                     sim.at(t, self._wake)
                                     return
-                                break
-                        # Element j alone: the per-element step.
-                        if words is not None:
-                            word = words[j]
-                        else:
-                            word = ((base + j * stride) >> 3) & wmask
-                        if kind != WRITE_SPAN and mode != WRITE_ONLY:
-                            nr += 1
-                            if tags[s] == block and states[s]:
-                                t += 1
-                                if vm is not None:
-                                    vm.read_hit(my_id, block, word)
-                            elif wb_words is not None and block in wb_words:
-                                t += 1  # read bypasses / forwards from the write buffer
-                                if vm is not None:
-                                    vm.read_wb(my_id, block, word)
+                                continue
                             else:
-                                stats.read_misses += 1
-                                if obs is not None:
-                                    obs.classify_miss(my_id, block, word, t)
-                                if vm is not None:
-                                    vm.read_miss(my_id, block, word)
-                                if kind == RW_SPAN:
-                                    self._pending = (
-                                        SPAN_CONT, block, base, count, stride, words, j, kind,
-                                        WRITE_ONLY,
-                                    )
-                                elif j + 1 < count:
-                                    self._pending = (
-                                        SPAN_CONT, block, base, count, stride, words, j + 1, kind,
-                                        BATCH,
-                                    )
-                                self.block(t, B_READ)
-                                prot.cpu_read_miss(node, t, block)
-                                return
-                        mode = fresh
-                        if kind != READ_SPAN:
-                            if obs is not None:
-                                obs.record_write(my_id, block, word, t)
-                            if tags[s] == block and states[s] == 2 and (wt is None or block in wt):
-                                if wt is not None:
-                                    wt[block].add(word)
-                                t += 1
-                            else:
-                                nt = prot.cpu_write(node, t, block, word)
-                                if nt < 0:
-                                    self._pending = (
-                                        SPAN_CONT, block, base, count, stride, words, j, kind,
-                                        WRITE_ONLY if kind == RW_SPAN else BATCH,
-                                    )
-                                    self.block(t, B_WB)
-                                    return
-                                t = nt
-                            nw += 1
-                            if vm is not None:
-                                vm.write(my_id, block, word)
-                        j += 1
-                        if j == count:
+                                mode = fresh
+                        elif kind > SPAN_CONT:
+                            # A multi-block run.  If it fits before the
+                            # deadline, its spans retire back to back while
+                            # each block batches; from the first span that
+                            # does not (or from the first, if the run does
+                            # not fit) the spans go through the per-span
+                            # path from a span iterator.  A span's first
+                            # element is ``(base - run base) // stride``.
+                            _, spans, count = op
+                            if kind == READ_SPANS:
+                                if fast and count <= deadline - t:
+                                    for sp in spans:
+                                        block = sp[1]
+                                        s = block & mask
+                                        if not (tags[s] == block and states[s]) and not (
+                                            wb_words is not None and block in wb_words
+                                        ):
+                                            break
+                                    else:
+                                        nr += count
+                                        t += count
+                                        if t >= deadline:
+                                            sim.at(t, self._wake)
+                                            return
+                                        continue
+                                    k = spans.index(sp)
+                                    if k:
+                                        m = (sp[2] - spans[0][2]) // sp[4]
+                                        nr += m
+                                        t += m
+                                        cur = islice(spans, k, None)
+                                        break
+                            elif fast and (count << 1) <= deadline - t + 1:
+                                for sp in spans:
+                                    block = sp[1]
+                                    s = block & mask
+                                    if tags[s] == block and states[s] == 2:
+                                        if wt is not None:
+                                            ws = wt.get(block)
+                                            if ws is None:
+                                                break
+                                            ws.update(sp[5])
+                                    else:
+                                        st = states[s] if tags[s] == block else 0
+                                        ws = wb_words.get(block) if st in coalesce else None
+                                        if ws is None:
+                                            break
+                                        ws.update(sp[5])
+                                    if obs is not None:
+                                        m = (sp[2] - spans[0][2]) // sp[4]
+                                        obs.record_write_span(my_id, t + 2 * m + 1, block, sp[5], 2)
+                                else:
+                                    nr += count
+                                    nw += count
+                                    t += count << 1
+                                    if t >= deadline:
+                                        sim.at(t, self._wake)
+                                        return
+                                    continue
+                                k = spans.index(sp)
+                                if k:
+                                    m = (sp[2] - spans[0][2]) // sp[4]
+                                    nr += m
+                                    nw += m
+                                    t += m << 1
+                                    cur = islice(spans, k, None)
+                                    break
+                            cur = iter(spans)
                             break
-                        if t >= deadline:
-                            self._pending = (
-                                SPAN_CONT, block, base, count, stride, words, j, kind, BATCH,
-                            )
-                            sim.at(t, self._wake)
+                        elif kind < SPAN_CONT:
+                            _, block, base, count, stride, words = op
+                            s = block & mask
+                            j = 0
+                            st = states[s] if tags[s] == block else 0
+                            if st == 2:
+                                ws = wt.get(block) if wt is not None else None
+                                batch = wt is None or ws is not None
+                            else:
+                                ws = wb_words.get(block) if st in coalesce else None
+                                batch = ws is not None
+                            rw = kind - WRITE_SPAN
+                            if not batch:
+                                mode = ELEMENT  # element 0 needs the protocol
+                            elif fast and (count << rw) <= deadline - t + rw:
+                                # The whole span batches and fits: one step.
+                                if obs is not None:
+                                    obs.record_write_span(my_id, t + rw, block, words, 1 + rw)
+                                if ws is not None:
+                                    ws.update(words)
+                                nw += count
+                                if rw:
+                                    nr += count
+                                t += count << rw
+                                if t >= deadline:
+                                    sim.at(t, self._wake)
+                                    return
+                                continue
+                            else:
+                                mode = fresh
+                        else:
+                            _, block, base, count, stride, words, j, kind, mode = op
+                            mode = mode or fresh
+                            s = block & mask
+                        while True:
+                            if not mode:
+                                # The one batched-tail block: fresh spans that do
+                                # not fit, tails after a per-element step, resumed
+                                # continuations.
+                                if words is None:
+                                    batch = (tags[s] == block and states[s]) or (
+                                        wb_words is not None and block in wb_words
+                                    )
+                                else:
+                                    st = states[s] if tags[s] == block else 0
+                                    if st == 2:
+                                        ws = wt.get(block) if wt is not None else None
+                                        batch = wt is None or ws is not None
+                                    else:
+                                        ws = wb_words.get(block) if st in coalesce else None
+                                        batch = ws is not None
+                                if batch:
+                                    left = deadline - t
+                                    m = count - j
+                                    if words is None:
+                                        if m > left:
+                                            m = left
+                                        nr += m
+                                        t += m
+                                    else:
+                                        rw = kind == RW_SPAN
+                                        if rw:
+                                            left = (left + 1) >> 1
+                                        if m > left:
+                                            m = left
+                                        w = words[j : j + m]
+                                        if obs is not None:
+                                            obs.record_write_span(my_id, t + rw, block, w, 1 + rw)
+                                        if ws is not None:
+                                            ws.update(w)
+                                        nw += m
+                                        if rw:
+                                            nr += m
+                                            t += m
+                                        t += m
+                                    j += m
+                                    if j < count:
+                                        self._pending = (
+                                            SPAN_CONT, block, base, count, stride, words, j,
+                                            kind, BATCH,
+                                        )
+                                        sim.at(t, self._wake)
+                                        return
+                                    break
+                            # Element j alone: the per-element step.
+                            if words is not None:
+                                word = words[j]
+                            else:
+                                word = ((base + j * stride) >> 3) & wmask
+                            if kind != WRITE_SPAN and mode != WRITE_ONLY:
+                                nr += 1
+                                if tags[s] == block and states[s]:
+                                    t += 1
+                                    if vm is not None:
+                                        vm.read_hit(my_id, block, word)
+                                elif wb_words is not None and block in wb_words:
+                                    t += 1  # read bypasses / forwards from the write buffer
+                                    if vm is not None:
+                                        vm.read_wb(my_id, block, word)
+                                else:
+                                    stats.read_misses += 1
+                                    if obs is not None:
+                                        obs.classify_miss(my_id, block, word, t)
+                                    if vm is not None:
+                                        vm.read_miss(my_id, block, word)
+                                    if kind == RW_SPAN:
+                                        self._pending = (
+                                            SPAN_CONT, block, base, count, stride, words, j,
+                                            kind, WRITE_ONLY,
+                                        )
+                                    elif j + 1 < count:
+                                        self._pending = (
+                                            SPAN_CONT, block, base, count, stride, words,
+                                            j + 1, kind, BATCH,
+                                        )
+                                    self.block(t, B_READ)
+                                    prot.cpu_read_miss(node, t, block)
+                                    return
+                            mode = fresh
+                            if kind != READ_SPAN:
+                                if obs is not None:
+                                    obs.record_write(my_id, block, word, t)
+                                if tags[s] == block and states[s] == 2 and (
+                                    wt is None or block in wt
+                                ):
+                                    if wt is not None:
+                                        wt[block].add(word)
+                                    t += 1
+                                else:
+                                    nt = prot.cpu_write(node, t, block, word)
+                                    if nt < 0:
+                                        self._pending = (
+                                            SPAN_CONT, block, base, count, stride, words, j,
+                                            kind, WRITE_ONLY if kind == RW_SPAN else BATCH,
+                                        )
+                                        self.block(t, B_WB)
+                                        return
+                                    t = nt
+                                nw += 1
+                                if vm is not None:
+                                    vm.write(my_id, block, word)
+                            j += 1
+                            if j == count:
+                                break
+                            if t >= deadline:
+                                self._pending = (
+                                    SPAN_CONT, block, base, count, stride, words, j, kind,
+                                    BATCH,
+                                )
+                                sim.at(t, self._wake)
+                                return
+
+                    # -- scalar ops ------------------------------------------------
+                    elif kind == COMPUTE:
+                        c = op[1]
+                        if t + c <= deadline:
+                            t += c
+                        else:
+                            done_now = deadline - t
+                            self._pending = (COMPUTE, c - done_now)
+                            sim.at(deadline, self._wake)
                             return
 
-                # -- scalar ops ------------------------------------------------
-                elif kind == COMPUTE:
-                    c = op[1]
-                    if t + c <= deadline:
-                        t += c
-                    else:
-                        done_now = deadline - t
-                        self._pending = (COMPUTE, c - done_now)
-                        sim.at(deadline, self._wake)
-                        return
+                    elif kind == READ:
+                        addr = op[1]
+                        block = addr >> lsh
+                        s = block & mask
+                        nr += 1
+                        if tags[s] == block and states[s]:
+                            t += 1
+                            if vm is not None:
+                                vm.read_hit(my_id, block, (addr >> 3) & wmask)
+                        elif wb_words is not None and block in wb_words:
+                            t += 1  # read bypasses / forwards from the write buffer
+                            if vm is not None:
+                                vm.read_wb(my_id, block, (addr >> 3) & wmask)
+                        else:
+                            stats.read_misses += 1
+                            word = (addr >> 3) & wmask
+                            if obs is not None:
+                                obs.classify_miss(my_id, block, word, t)
+                            if vm is not None:
+                                vm.read_miss(my_id, block, word)
+                            self.block(t, B_READ)
+                            prot.cpu_read_miss(node, t, block)
+                            return
 
-                elif kind == READ:
-                    addr = op[1]
-                    block = addr >> lsh
-                    s = block & mask
-                    nr += 1
-                    if tags[s] == block and states[s]:
-                        t += 1
-                        if vm is not None:
-                            vm.read_hit(my_id, block, (addr >> 3) & wmask)
-                    elif wb_words is not None and block in wb_words:
-                        t += 1  # read bypasses / forwards from the write buffer
-                        if vm is not None:
-                            vm.read_wb(my_id, block, (addr >> 3) & wmask)
-                    else:
-                        stats.read_misses += 1
+                    elif kind == WRITE:
+                        addr = op[1]
+                        block = addr >> lsh
+                        s = block & mask
                         word = (addr >> 3) & wmask
                         if obs is not None:
-                            obs.classify_miss(my_id, block, word, t)
+                            obs.record_write(my_id, block, word, t)
+                        if tags[s] == block and states[s] == 2 and (wt is None or block in wt):
+                            if wt is not None:
+                                wt[block].add(word)
+                            t += 1
+                        else:
+                            nt = prot.cpu_write(node, t, block, word)
+                            if nt < 0:
+                                self._pending = op
+                                self.block(t, B_WB)
+                                return
+                            t = nt
+                        nw += 1
                         if vm is not None:
-                            vm.read_miss(my_id, block, word)
-                        self.block(t, B_READ)
-                        prot.cpu_read_miss(node, t, block)
+                            vm.write(my_id, block, word)
+
+                    elif kind == ACQUIRE:
+                        stats.acquires += 1
+                        self.block(t, B_SYNC)
+                        prot.cpu_acquire(node, t, op[1])
                         return
 
-                elif kind == WRITE:
-                    addr = op[1]
-                    block = addr >> lsh
-                    s = block & mask
-                    word = (addr >> 3) & wmask
-                    if obs is not None:
-                        obs.record_write(my_id, block, word, t)
-                    if tags[s] == block and states[s] == 2 and (wt is None or block in wt):
-                        if wt is not None:
-                            wt[block].add(word)
-                        t += 1
+                    elif kind == RELEASE:
+                        stats.releases += 1
+                        self.block(t, B_SYNC)
+                        prot.cpu_release(node, t, op[1])
+                        return
+
+                    elif kind == BARRIER:
+                        stats.barriers += 1
+                        self.block(t, B_SYNC)
+                        prot.cpu_barrier(node, t, op[1])
+                        return
+
+                    elif kind == FENCE:
+                        self.block(t, B_SYNC)
+                        prot.cpu_fence(node, t)
+                        return
+
+                    elif kind == SET_FLAG:
+                        stats.releases += 1
+                        self.block(t, B_SYNC)
+                        prot.cpu_set_flag(node, t, op[1])
+                        return
+
+                    elif kind == WAIT_FLAG:
+                        stats.acquires += 1
+                        self.block(t, B_SYNC)
+                        prot.cpu_wait_flag(node, t, op[1])
+                        return
+
                     else:
-                        nt = prot.cpu_write(node, t, block, word)
-                        if nt < 0:
-                            self._pending = op
-                            self.block(t, B_WB)
-                            return
-                        t = nt
-                    nw += 1
-                    if vm is not None:
-                        vm.write(my_id, block, word)
+                        raise ValueError(f"unknown opcode {kind!r}")
 
-                elif kind == ACQUIRE:
-                    stats.acquires += 1
-                    self.block(t, B_SYNC)
-                    prot.cpu_acquire(node, t, op[1])
-                    return
-
-                elif kind == RELEASE:
-                    stats.releases += 1
-                    self.block(t, B_SYNC)
-                    prot.cpu_release(node, t, op[1])
-                    return
-
-                elif kind == BARRIER:
-                    stats.barriers += 1
-                    self.block(t, B_SYNC)
-                    prot.cpu_barrier(node, t, op[1])
-                    return
-
-                elif kind == FENCE:
-                    self.block(t, B_SYNC)
-                    prot.cpu_fence(node, t)
-                    return
-
-                elif kind == SET_FLAG:
-                    stats.releases += 1
-                    self.block(t, B_SYNC)
-                    prot.cpu_set_flag(node, t, op[1])
-                    return
-
-                elif kind == WAIT_FLAG:
-                    stats.acquires += 1
-                    self.block(t, B_SYNC)
-                    prot.cpu_wait_flag(node, t, op[1])
-                    return
+                    if t >= deadline:
+                        self._pending = None
+                        sim.at(t, self._wake)
+                        return
 
                 else:
-                    raise ValueError(f"unknown opcode {kind!r}")
-
-                if t >= deadline:
-                    self._pending = None
-                    sim.at(t, self._wake)
-                    return
+                    if ops is not cur:
+                        continue  # the parked op is done
+                    if cur is prog:
+                        self._finish(t)
+                        return
+                    cur = prog  # the run's spans are done
 
         finally:
-            self._i = i
+            self._cur = cur
             stats.reads += nr
             stats.writes += nw

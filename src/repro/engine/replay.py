@@ -4,18 +4,27 @@ A :class:`~repro.program.stream.RecordedStream` is compiled — once per
 stream, cached on the stream object — into per-processor *micro-programs*:
 flat Python lists in which
 
-* scalar ops keep their tuple forms, and
+* scalar ops keep their tuple forms;
 * every run op is decomposed into **block spans**: maximal runs of
   consecutive elements that fall in one cache block, pre-tagged with the
   block number and (for write/rw spans) the tuple of word indices the
   elements touch.  Spans are cut by arithmetic on the block bounds and
   the stride, and equal word tuples are one shared object, so compiling
-  costs O(spans), not O(elements).
+  costs O(spans), not O(elements);
+* a read or read-write run that touches more than one block becomes one
+  **run micro-op**, ``(READ_SPANS | RW_SPANS, spans, count)``, carrying
+  its spans in order and its element count.  Runs are interned: equal
+  recorded runs ``(kind, addr, count, stride)`` compile to one shared
+  object, so a repeated run (gauss reads each pivot row once per row it
+  eliminates) costs one dict lookup and no memory.  Single-block runs and
+  write runs stay plain spans.
 
 The :class:`~repro.core.processor.Processor` walks a micro-program with
-an integer cursor.  It retires a span's tail ``[j, count)`` as one batch
-— one tag check, one bulk stats/time update, one ``set.update`` of
-buffer words — whenever the tail provably needs no protocol work:
+a persistent iterator.  With no value model attached, a fresh span or a
+whole run micro-op retires in one step — one tag check per block, one
+bulk stats/time update, one ``set.update`` of buffer words per span —
+when it fits before the quantum deadline and every block it touches
+needs no protocol work:
 
 * **line present** — reads hit (state RO or RW, or a live write-buffer
   entry to forward from); writes hit (state RW, and the block's
@@ -25,21 +34,30 @@ buffer words — whenever the tail provably needs no protocol work:
   INVALID and RO; lrc, lrc-ext, tardis: INVALID).  Such a write only
   adds its word to the entry: 1 cycle, no message, no stall.
 
-Spans are *resumable*: an element that does need the protocol (a read
-miss, an RO upgrade, a cold coalescing-buffer entry, a full write
-buffer) runs alone through the per-element step, and the rest of the
-span re-qualifies for the batch.  A miss or stall parks the span as a
-continuation that resumes at the same element.  Only a value model,
-which must see every element, runs spans wholly per-element; a miss
-classifier takes batched writes as ``record_write_span`` records.
+Anything else takes the per-span path.  A run that does not fit hands
+all its spans to the processor as a second iterator; a run with a block
+that fails the rule retires the spans before that block and hands over
+the rest, the failing span first.  There a span's tail
+``[j, count)`` retires as one batch under the same rule, with the
+exact quantum-deadline split, and spans are *resumable*: an element that
+does need the protocol (a read miss, an RO upgrade, a cold
+coalescing-buffer entry, a full write buffer) runs alone through the
+per-element step, and the rest of the span re-qualifies for the batch.
+A miss or stall parks the span as a continuation that resumes at the
+same element.  Only a value model, which must see every element, runs
+spans wholly per-element; a miss classifier takes batched writes as
+``record_write_span`` records, one per span, on either path.
 
 Bit-identity contract: no simulator event can run between the elements
-of a span (the CPU loop is synchronous within a quantum), and neither
-batchable case changes cache, buffer or protocol state beyond the words
-it adds, so the preconditions checked at the head of a tail hold for all
-of it.  The batch formulas reproduce the per-element time/stat
-arithmetic exactly, including quantum-deadline splits.  The differential
-suite (``tests/test_replay.py``) holds batched runs and value-checked
+of a span or the spans of a run (the CPU loop is synchronous within a
+quantum), and neither batchable case changes cache, buffer or protocol
+state beyond the words it adds, so the preconditions checked at the
+head of a tail hold for all of it.  A run that fits before the deadline
+crosses it, if at all, only with its last element, so retiring its
+spans back to back is what the per-span path does.  The batch formulas
+reproduce the per-element time/stat arithmetic exactly, including
+quantum-deadline splits.  The differential suite
+(``tests/test_replay.py``) holds batched runs and value-checked
 per-element runs to bit-identical :class:`RunResult`\\ s, and the golden
 fixtures pin both.
 """
@@ -57,13 +75,19 @@ RW_SPAN = 34
 #: A span parked mid-way: ``(SPAN_CONT, block, base, count, stride, words,
 #: j, kind, mode)`` resumes span ``kind`` at element ``j`` in ``mode``.
 SPAN_CONT = 35
+#: Run micro-ops: ``(READ_SPANS | RW_SPANS, spans, count)`` is a read or
+#: read-write run of ``count`` elements over more than one block, as its
+#: ``READ_SPAN`` / ``RW_SPAN`` tuples in order.
+READ_SPANS = 36
+RW_SPANS = 37
 
 #: How a span's next element runs: ``BATCH`` lets the tail batch,
 #: ``ELEMENT`` runs element ``j`` alone, ``WRITE_ONLY`` runs only element
 #: ``j``'s write (an RW element whose read missed and has been served).
 BATCH, ELEMENT, WRITE_ONLY = 0, 1, 2
 
-_RUN_KINDS = (READ_RUN, WRITE_RUN, RW_RUN)
+#: Program run opcode -> the opcode of its spans.
+_SPAN_OF = {READ_RUN: READ_SPAN, WRITE_RUN: WRITE_SPAN, RW_RUN: RW_SPAN}
 
 
 def compile_stream(stream) -> List[list]:
@@ -74,7 +98,9 @@ def compile_stream(stream) -> List[list]:
     the compiled form is valid for every machine the stream may replay
     on.  The work is per span: each block's element count follows from
     its bounds and the stride, and each distinct word tuple is built once
-    per ``(offset in line, count, stride)`` and shared (spans only read it).
+    per ``(offset in line, count, stride)`` and shared (spans only read
+    it).  A multi-block read or read-write run is cut once per distinct
+    ``(kind, addr, count, stride)`` and its run micro-op shared.
     """
     if stream._compiled is not None:
         return stream._compiled
@@ -82,6 +108,37 @@ def compile_stream(stream) -> List[list]:
     lsh = line_size.bit_length() - 1
     wmask = (line_size // stream.meta["word_size"]) - 1
     word_tuples: dict = {}
+    runs: dict = {}
+
+    def new_words(off, k, stride) -> tuple:
+        """The word tuple of a ``k``-element span at ``off`` in its line."""
+        words = word_tuples[off, k, stride] = tuple(
+            ((off + m * stride) >> 3) & wmask for m in range(k)
+        )
+        return words
+
+    def cut(kind, addr, count, stride, push) -> None:
+        """``push`` each block span of one run, in element order."""
+        span = _SPAN_OF[kind]
+        while count > 0:
+            block = addr >> lsh
+            off = addr - (block << lsh)
+            if stride > 0:
+                k = (line_size - 1 - off) // stride + 1
+            else:
+                k = off // -stride + 1 if stride else count
+            if k > count:
+                k = count
+            if span == READ_SPAN:
+                push((READ_SPAN, block, addr, k, stride))
+            else:
+                push((
+                    span, block, addr, k, stride,
+                    word_tuples.get((off, k, stride)) or new_words(off, k, stride),
+                ))
+            addr += k * stride
+            count -= k
+
     cols = (stream.op, stream.a, stream.b, stream.c)
     programs: List[list] = []
     for pid in range(stream.n_procs):
@@ -89,29 +146,31 @@ def compile_stream(stream) -> List[list]:
         out: list = []
         push = out.append
         for kind, x, y, z in zip(*(col[sl].tolist() for col in cols)):
-            if kind in _RUN_KINDS:
-                addr, count, stride = x, y, z
-                while count > 0:
-                    block = addr >> lsh
-                    off = addr - (block << lsh)
-                    if stride > 0:
-                        k = min(count, (line_size - 1 - off) // stride + 1)
-                    else:
-                        k = min(count, off // -stride + 1) if stride else count
+            if kind in _SPAN_OF:
+                block = x >> lsh
+                # Addresses move monotonically, so a run whose first and
+                # last elements share a block is one span.
+                if (x + (y - 1) * z) >> lsh == block and y > 0:
                     if kind == READ_RUN:
-                        push((READ_SPAN, block, addr, k, stride))
+                        push((READ_SPAN, block, x, y, z))
                     else:
-                        words = word_tuples.get((off, k, stride))
-                        if words is None:
-                            words = word_tuples[off, k, stride] = tuple(
-                                ((off + m * stride) >> 3) & wmask for m in range(k)
-                            )
+                        off = x - (block << lsh)
                         push((
-                            WRITE_SPAN if kind == WRITE_RUN else RW_SPAN,
-                            block, addr, k, stride, words,
+                            _SPAN_OF[kind], block, x, y, z,
+                            word_tuples.get((off, y, z)) or new_words(off, y, z),
                         ))
-                    addr += k * stride
-                    count -= k
+                elif kind == WRITE_RUN or y < 2:
+                    cut(kind, x, y, z, push)  # write runs stay spans; no element, no op
+                else:
+                    key = (kind, x, y, z)
+                    op = runs.get(key)
+                    if op is None:
+                        spans: list = []
+                        cut(kind, x, y, z, spans.append)
+                        op = runs[key] = (
+                            READ_SPANS if kind == READ_RUN else RW_SPANS, tuple(spans), y,
+                        )
+                    push(op)
             elif kind == FENCE:
                 push((FENCE,))
             else:

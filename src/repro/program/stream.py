@@ -32,7 +32,7 @@ Streams are content-addressed two ways:
 
 The replay side compiles a stream into per-processor micro-programs
 (:mod:`repro.engine.replay`) that each node's
-:class:`~repro.core.processor.Processor` walks with an integer cursor.
+:class:`~repro.core.processor.Processor` walks with an iterator.
 Hand-written programs passed to :meth:`repro.core.machine.Machine.run`
 are packed by the same :func:`pack_programs` and take the same path.
 """

@@ -11,7 +11,6 @@ its outcome::
     {"schema":1,"op":"plan","cell":"*","data":{...campaign params...},"sha":...}
     {"schema":1,"op":"start","cell":"<key>","data":null,"sha":...}
     {"schema":1,"op":"done","cell":"<key>","data":{...outcome...},"sha":...}
-    {"schema":1,"op":"fail","cell":"<key>","data":{"kind":...,"message":...},"sha":...}
 
 Appends are atomic at the line level (single ``write`` of one line,
 flushed and fsynced); every record carries a content checksum, so a
@@ -22,7 +21,7 @@ records could depend on lost state, so they are ignored, and the
 affected cells simply re-run.
 
 Resume semantics (``--resume`` on the CLI): cells with a journaled
-``done`` or ``fail`` outcome are *skipped* and their journaled data is
+``done`` outcome are *skipped* and their journaled data is
 reused to rebuild the campaign's report/artifact — bit-identical to an
 uninterrupted run, because cell execution is deterministic and the
 journaled data is exactly what the live run would have produced.  Cells
@@ -114,9 +113,6 @@ class CampaignJournal:
     def done(self, cell: str, data: Any = None) -> None:
         self.append("done", cell, data)
 
-    def fail(self, cell: str, kind: str, message: str) -> None:
-        self.append("fail", cell, {"kind": kind, "message": message})
-
     # -- reading --------------------------------------------------------------
 
     def records(self):
@@ -157,9 +153,8 @@ class CampaignJournal:
     def outcomes(self) -> Dict[str, Dict[str, Any]]:
         """Latest outcome per cell: ``{cell: {"op": ..., "data": ...}}``.
 
-        ``done``/``fail`` supersede ``start``; a later record for the
-        same cell supersedes an earlier one (re-runs are appended, never
-        rewritten).  The campaign ``plan`` appears under ``"*"``.
+        A later record for the same cell supersedes an earlier one
+        (re-runs are appended, never rewritten).  The campaign ``plan`` appears under ``"*"``.
         """
         out: Dict[str, Dict[str, Any]] = {}
         for record in self.records():
@@ -172,11 +167,11 @@ class CampaignJournal:
         return entry["data"] if entry and entry["op"] == "plan" else None
 
     def completed(self) -> Dict[str, Dict[str, Any]]:
-        """Cells whose outcome is known (``done`` or ``fail``)."""
+        """Cells whose outcome is known (``done``)."""
         return {
             cell: entry
             for cell, entry in self.outcomes().items()
-            if entry["op"] in ("done", "fail")
+            if entry["op"] == "done"
         }
 
     def clear(self) -> None:

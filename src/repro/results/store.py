@@ -52,6 +52,8 @@ import os
 import tempfile
 import time
 import traceback as _traceback
+import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional
@@ -79,6 +81,15 @@ FAILURE_SUFFIX = ".fail.json"
 #: process; anything older than this was left behind by a crash between
 #: ``mkstemp`` and ``os.replace``.
 TMP_SWEEP_AGE = 300.0
+
+#: What loading a corrupt, truncated or wrong-version stream blob raises
+#: (bit flips in the archive surface as ``zlib.error`` or, in a zip
+#: header, as an unsupported compression method).
+_BAD_BLOB = (
+    ValueError, KeyError, EOFError, OSError, zipfile.BadZipFile,
+    zlib.error, NotImplementedError,
+)
+
 
 def _content_checksum(content) -> str:
     """SHA-256 over the canonical JSON of a payload dict."""
@@ -363,7 +374,8 @@ class ResultStore:
 
         Same tolerance as :meth:`load`: absent, wrong-version, corrupt,
         or fingerprint-mismatched blobs read as None, never as errors —
-        the record phase simply runs again.
+        the record phase simply runs again.  Any other exception, such as
+        the ``TimeoutError`` of a ``--timeout`` alarm, propagates.
         """
         from repro.program.stream import RecordedStream
 
@@ -373,7 +385,9 @@ class ResultStore:
             return None
         try:
             return RecordedStream.from_bytes(blob)
-        except Exception:
+        except TimeoutError:
+            raise  # a ``--timeout`` alarm, not a bad blob (it is an OSError)
+        except _BAD_BLOB:
             return None
 
     # -- maintenance ----------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Four layers:
 
-* **compile** — ``compile_stream`` produces exactly the micro-programs of
-  a per-element reference compiler, on all ten non-fuzz apps and on
-  arbitrary single-run streams (hypothesis);
+* **compile** — ``compile_stream`` produces exactly the spans of a
+  per-element reference compiler, on all ten non-fuzz apps and on
+  arbitrary single-run streams (hypothesis), once its run micro-ops are
+  expanded back into their spans; equal runs share one micro-op;
 * **differential** — batched span retirement must be unobservable: a
   run must give the same ``RunResult.to_dict()`` as the same stream run
   with a value model attached, which makes the processor retire every
@@ -28,10 +29,26 @@ from hypothesis import given, settings, strategies as st
 from repro import SystemConfig
 from repro.apps import APPS, AppContext, Gauss
 from repro.conformance.shadow import ValueModel
-from repro.core import MachineConfig, simulate
-from repro.engine.replay import READ_SPAN, RW_SPAN, WRITE_SPAN, compile_stream
+from repro.core import Machine, MachineConfig, simulate
+from repro.engine.replay import (
+    READ_SPAN,
+    READ_SPANS,
+    RW_SPAN,
+    RW_SPANS,
+    WRITE_SPAN,
+    compile_stream,
+)
 from repro.harness.spec import ExperimentSpec
-from repro.program.ops import FENCE, READ, READ_RUN, RW_RUN, WRITE, WRITE_RUN
+from repro.program.ops import (
+    BARRIER,
+    COMPUTE,
+    FENCE,
+    READ,
+    READ_RUN,
+    RW_RUN,
+    WRITE,
+    WRITE_RUN,
+)
 from repro.program import stream as stream_mod
 from repro.program.stream import RecordedStream, clear_stream_cache
 from repro.results.store import ResultStore
@@ -84,9 +101,11 @@ def per_element(mc, stream):
     """``stream`` replayed with a value model attached, so every span
     element retires alone and every read's value is observed."""
     machine = mc.build()
-    machine.valmodel = PermissiveValueModel(machine)
+    vm = machine.valmodel = PermissiveValueModel(machine)
     result = machine.replay(stream)
-    assert machine.valmodel.checked_reads > 0
+    assert vm.checked_reads > 0
+    # No read retired in a batch or one-step run, out of the model's sight.
+    assert vm.checked_reads + vm.unchecked_reads == sum(p.reads for p in result.stats.procs)
     return result
 
 
@@ -228,6 +247,23 @@ class TestStreamCache:
         path.write_bytes(b"not a stream")
         assert store.load_stream("k") is None
 
+    def test_timeout_while_loading_is_not_a_cache_miss(self, tmp_path, monkeypatch):
+        # A ``--timeout`` alarm that fires inside the load must reach the
+        # runner; only a bad blob reads as a miss.
+        store = ResultStore(tmp_path)
+        s = RecordedStream.record(Gauss(AppContext(cfg()), n=24))
+        path = store.save_stream("k", s)
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        assert store.load_stream("k") is None
+
+        def alarm(blob):
+            raise TimeoutError("timed out after 0.01s")
+
+        monkeypatch.setattr(RecordedStream, "from_bytes", staticmethod(alarm))
+        store.save_stream("k", s)
+        with pytest.raises(TimeoutError):
+            store.load_stream("k")
+
 
 def reference_compile(stream):
     """The per-element span compiler: walks every element of a run to
@@ -270,6 +306,27 @@ def reference_compile(stream):
     return programs
 
 
+def expand(programs):
+    """``programs`` with every run micro-op replaced by its spans, after
+    checking that it holds more than one span of its own kind and that
+    its count is theirs."""
+    out = []
+    for program in programs:
+        flat = []
+        for op in program:
+            if op[0] in (READ_SPANS, RW_SPANS):
+                _, spans, count = op
+                span = READ_SPAN if op[0] == READ_SPANS else RW_SPAN
+                assert len(spans) > 1
+                assert all(sp[0] == span for sp in spans)
+                assert sum(sp[3] for sp in spans) == count
+                flat.extend(spans)
+            else:
+                flat.append(op)
+        out.append(flat)
+    return out
+
+
 def run_stream(kind, base, count, stride, line_size):
     """A one-processor stream holding the single run op given."""
     meta = {"line_size": line_size, "word_size": 8}
@@ -283,7 +340,7 @@ class TestCompile:
         spec = small_spec(app, "sc", overrides=(("line_size", line_size),))
         c = spec.config()
         s = RecordedStream.record(APPS[app](AppContext(c), **spec.app_params()))
-        assert compile_stream(s) == reference_compile(s)
+        assert expand(compile_stream(s)) == reference_compile(s)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -300,7 +357,28 @@ class TestCompile:
     )
     def test_single_run_matches_reference(self, kind, base, count, stride, lsh):
         s = run_stream(kind, base, count, stride, 1 << lsh)
-        assert compile_stream(s) == reference_compile(s)
+        (program,) = compile_stream(s)
+        (ref,) = reference_compile(s)
+        assert expand([program]) == [ref]
+        # Only a read or read-write run over more than one block is one
+        # run micro-op; everything else stays spans.
+        if kind != WRITE_RUN and len(ref) > 1:
+            assert [op[0] for op in program] == [READ_SPANS if kind == READ_RUN else RW_SPANS]
+        else:
+            assert program == ref
+
+    def test_equal_runs_are_one_object(self):
+        # The same read and read-write runs on two processors: each pair
+        # compiles to one shared run micro-op.
+        meta = {"line_size": 128, "word_size": 8}
+        s = RecordedStream(
+            [READ_RUN, RW_RUN, READ_RUN, RW_RUN], [4104, 8192, 4104, 8192],
+            [20, 20, 20, 20], [8, 8, 8, 8], [0, 2, 4], [], meta,
+        )
+        (read0, rw0), (read1, rw1) = compile_stream(s)
+        assert (read0[0], rw0[0]) == (READ_SPANS, RW_SPANS)
+        assert read0 is read1
+        assert rw0 is rw1
 
     def test_equal_word_tuples_are_shared(self):
         # Two write runs at the same line offset in different blocks:
@@ -312,6 +390,239 @@ class TestCompile:
         first, second = compile_stream(s)[0]
         assert first[5] == (1, 3, 5, 7)
         assert first[5] is second[5]
+
+
+#: Geometry of the hand-written run programs: 128-byte lines, so a run of
+#: 40 words from ``base + 8`` covers three blocks (15, 16 and 9 words).
+LINE = 128
+QUANTUM = 200
+
+
+def hand_run(programs, proto, per_element=False, classify=False, spy=None):
+    """``programs(base)`` on a fresh two-processor machine, with a
+    4 KB segment at ``base``; with ``per_element`` a value model is
+    attached, so every span element retires alone.  ``spy(machine)``
+    runs before the programs do.  Returns ``(machine, result dict)``."""
+    config = SystemConfig.scaled(
+        n_procs=2, cache_size=1 << 16, line_size=LINE, quantum=QUANTUM
+    )
+    machine = Machine(config, protocol=proto, classify=classify)
+    base = machine.space.alloc(4096, "a").base
+    vm = machine.valmodel = PermissiveValueModel(machine) if per_element else None
+    if spy is not None:
+        spy(machine)
+    result = machine.run(programs(base))
+    if vm is not None:
+        reads = sum(p.reads for p in result.stats.procs)
+        assert vm.checked_reads + vm.unchecked_reads == reads
+    return machine, result.to_dict()
+
+
+def assert_hand_differential(programs, proto, **kw):
+    """The batched and per-element runs of ``programs`` agree bit for bit;
+    returns the batched run's machine and result."""
+    machine, batched = hand_run(programs, proto, **kw)
+    _, element = hand_run(programs, proto, per_element=True, **kw)
+    assert batched == element, f"{proto} diverged"
+    return machine, batched
+
+
+def quantum_starts(machine, pid):
+    """Record the cycle at which each of ``pid``'s quanta begins."""
+    proc = machine.nodes[pid].proc
+    run_quantum = proc._wake
+    starts = []
+
+    def wake():
+        starts.append(machine.sim.now)
+        run_quantum()
+
+    proc._wake = wake
+    return starts
+
+
+def bystander(*writes):
+    """Processor 1's program: two barriers, with ``writes`` (addresses)
+    between them, which take those lines away from processor 0."""
+    yield (BARRIER, 0)
+    for addr in writes:
+        yield (WRITE, addr)
+    yield (BARRIER, 1)
+
+
+class TestRunMicroOps:
+    """Edge cases of the run micro-op on hand-written programs, each held
+    to the differential oracle: the batched run equals the value-checked
+    per-element run."""
+
+    @pytest.mark.parametrize("tail", (0, 1, 2))
+    @pytest.mark.parametrize("proto", PROTOCOLS)
+    def test_run_ending_exactly_at_the_deadline(self, proto, tail):
+        # After each barrier a quantum starts afresh, so the compute gap
+        # places a warm run's last element ``tail`` cycles past the
+        # deadline.  A read run fits only at 0, a read-write run at 0 and
+        # 1 (its last read retires on the deadline); past that the run
+        # splits at the deadline.
+        def programs(base):
+            def p0():
+                yield (READ_RUN, base + 8, 40, 8)
+                yield (RW_RUN, base + 1024 + 8, 40, 8)
+                yield (BARRIER, 0)
+                yield (COMPUTE, QUANTUM - 40 + tail)
+                yield (READ_RUN, base + 8, 40, 8)
+                yield (BARRIER, 1)
+                yield (COMPUTE, QUANTUM - 80 + tail)
+                yield (RW_RUN, base + 1024 + 8, 40, 8)
+                yield (READ, base)
+
+            return [p0(), bystander()]
+
+        runs = []
+        assert_hand_differential(
+            programs, proto, spy=lambda m: runs.append(quantum_starts(m, 0))
+        )
+        starts, element_starts = runs
+        assert starts == element_starts
+        if proto != "tardis":  # there the read leases expire: the rerun misses
+            assert any(b - a == QUANTUM for a, b in zip(starts, starts[1:]))
+
+    @pytest.mark.parametrize("proto", PROTOCOLS)
+    def test_run_whose_middle_block_misses(self, proto):
+        # Processor 1 writes the middle block of each run between the
+        # barriers; the reruns then hit, miss, and hit again.
+        def programs(base):
+            def p0():
+                yield (READ_RUN, base + 8, 40, 8)
+                yield (RW_RUN, base + 1024 + 8, 40, 8)
+                yield (BARRIER, 0)
+                yield (BARRIER, 1)
+                yield (READ_RUN, base + 8, 40, 8)
+                yield (RW_RUN, base + 1024 + 8, 40, 8)
+
+            return [p0(), bystander(base + LINE + 8, base + 1024 + LINE + 8)]
+
+        _, batched = assert_hand_differential(programs, proto)
+        if proto != "tardis":  # there every rerun block misses: leases expire
+            assert batched["stats"]["procs"][0]["read_misses"] == 6 + 2
+
+    @pytest.mark.parametrize(
+        "start, count, stride",
+        [
+            (3 * LINE - 8, 40, -8),   # backwards over three blocks
+            (8, 5, 2 * LINE),         # one element in each of five blocks
+            (4 * LINE + 16, 4, -LINE - 8),  # backwards, a block per element
+        ],
+    )
+    @pytest.mark.parametrize("proto", PROTOCOLS)
+    def test_negative_and_wide_strides(self, proto, start, count, stride):
+        # Warm runs retire in one step; after processor 1 writes the
+        # block of the middle element, the rerun breaks there, which
+        # locates that span's first element by
+        # ``(base - run base) // stride``.
+        def programs(base):
+            def p0():
+                yield (READ_RUN, base + start, count, stride)
+                yield (RW_RUN, base + 2048 + start, count, stride)
+                yield (READ_RUN, base + start, count, stride)
+                yield (RW_RUN, base + 2048 + start, count, stride)
+                yield (BARRIER, 0)
+                yield (BARRIER, 1)
+                yield (READ_RUN, base + start, count, stride)
+                yield (RW_RUN, base + 2048 + start, count, stride)
+
+            middle = start + count // 2 * stride
+            return [p0(), bystander(base + middle, base + 2048 + middle)]
+
+        assert_hand_differential(programs, proto)
+
+    @pytest.mark.parametrize("proto", ("lrc", "lrc-ext"))
+    def test_rw_run_whose_second_block_has_no_buffer_entry(self, proto):
+        # The barrier drains the coalescing buffer; the scalar write then
+        # starts an entry for block 0 only.  The rerun batches block 0,
+        # and block 1, a read-write line with no entry, takes the
+        # per-element step, whose write starts its entry.
+        def programs(base):
+            def p0():
+                yield (RW_RUN, base + 8, 40, 8)
+                yield (BARRIER, 0)
+                yield (WRITE, base + 8)
+                yield (RW_RUN, base + 8, 40, 8)
+                yield (BARRIER, 1)
+
+            return [p0(), bystander()]
+
+        writes = []
+
+        def spy(machine):
+            proto_obj = machine.protocol
+            cpu_write = proto_obj.cpu_write
+
+            def logged(node, t, block, word):
+                if node.id == 0:
+                    writes.append(block)
+                return cpu_write(node, t, block, word)
+
+            proto_obj.cpu_write = logged
+
+        machine, _ = assert_hand_differential(programs, proto, spy=spy)
+        b0 = machine.space.segments[0].base // LINE
+        # Phase 1 writes each block through the protocol once; phase 2
+        # starts with the scalar write, then block 1 (block 0 batched).
+        assert writes[3:5] == [b0, b0 + 1]
+
+    @pytest.mark.parametrize("proto, warm", [("erc", [15, 16, 9]), ("lrc", [15, 15, 8])])
+    def test_classified_run_records_the_same_writes(self, proto, warm):
+        # The batched run logs a run's writes as one span record per
+        # block, the per-element run one record per element; expanded,
+        # the two write logs are identical.  Before the warm run the
+        # scalar write makes block 0's coalescing-buffer entry the newest
+        # (lrc keeps only that one), so erc batches all three blocks and
+        # lrc block 0 whole, then the rest of each block after its first
+        # element, which starts the block's entry.
+        def programs(base):
+            def p0():
+                yield (WRITE, base + 8)
+                yield (RW_RUN, base + 8, 40, 8)
+                yield (WRITE, base + 8)
+                yield (RW_RUN, base + 8, 40, 8)
+                yield (BARRIER, 0)
+                yield (BARRIER, 1)
+                yield (RW_RUN, base + 8, 40, 8)
+
+            return [p0(), bystander(base + LINE + 8)]
+
+        def logged(per_element):
+            writes, spans = [], []
+
+            def spy(machine):
+                obs = machine.classifier
+                record_write, record_write_span = obs.record_write, obs.record_write_span
+
+                def write(proc, block, word, t=0):
+                    writes.append((proc, t, block, word))
+                    record_write(proc, block, word, t)
+
+                def write_span(proc, t, block, words, step):
+                    spans.append(len(words))
+                    writes.extend(
+                        (proc, t + step * j, block, w) for j, w in enumerate(words)
+                    )
+                    record_write_span(proc, t, block, words, step)
+
+                obs.record_write = write
+                obs.record_write_span = write_span
+
+            _, result = hand_run(
+                programs, proto, per_element=per_element, classify=True, spy=spy
+            )
+            return result, writes, spans
+
+        batched, batched_writes, spans = logged(False)
+        element, element_writes, no_spans = logged(True)
+        assert batched == element
+        assert batched_writes == element_writes
+        assert no_spans == []
+        assert any(spans[i : i + 3] == warm for i in range(len(spans)))
 
 
 class TestMachineReplay:
