@@ -10,6 +10,12 @@ Entries merge by cache block and record the dirty word offsets, so a
 flush message carries only the written words.  An entry is flushed to
 the block's home memory when the buffer needs space for a new block
 (FIFO victim) or when the owning processor reaches a release point.
+
+The lazy protocols' write path (``LRCProtocol.cpu_write_words``) runs
+:meth:`CoalescingBuffer.add`, the victim flush and the background
+drain's :meth:`CoalescingBuffer.remove` of the oldest entry inline, in
+one frame, on ``order`` and ``words``; ``tests/test_properties.py``
+holds it to these methods.
 """
 
 from __future__ import annotations

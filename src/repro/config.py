@@ -129,8 +129,9 @@ class SystemConfig:
     def hops(self, src: int, dst: int) -> int:
         """Dimension-order (Manhattan) hop count between two mesh nodes.
 
-        The one definition of mesh distance; the fabric's send path
-        computes the same sum inline from per-node coordinate lists.
+        The one definition of mesh distance.  The fabric's send path reads
+        the same count from a per-source table
+        (:func:`repro.network.fabric.hop_table`), built once per mesh.
         """
         if src == dst:
             return 0

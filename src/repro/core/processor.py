@@ -14,14 +14,17 @@ Design notes (hot path):
   a read-write line with a live coalescing-buffer entry is equally flat.
 * A fresh span, or a whole run micro-op, retires in one step when it
   fits before the quantum deadline and every block it touches provably
-  needs no protocol work (see :mod:`repro.engine.replay` for the two
-  batchable cases).  Otherwise the run's spans continue from a second
+  needs no protocol work, or only the opening of its coalescing-buffer
+  entry, which one ``Protocol.cpu_write_words`` call does for all the
+  span's words (see :mod:`repro.engine.replay` for the three batchable
+  cases).  Otherwise the run's spans continue from a second
   iterator, ``_cur``, through the per-span path: a span's tail retires
   as one batch, the element that does need the protocol runs alone
-  through the per-element step, and the rest of the span re-qualifies.
-  With a value model attached every element runs per-element, which
-  makes the value-checked run the differential oracle for the batched
-  one.
+  through the per-element step, and the rest of the span re-qualifies;
+  an entry-opening write there takes the span's elements up to the
+  deadline with it.  With a value model attached every element runs
+  per-element, which makes the value-checked run the differential
+  oracle for the batched one.
 * A processor runs in bounded *quanta*: it may advance at most
   ``config.quantum`` cycles past the global clock before rescheduling,
   which bounds the timing skew between processors (important for
@@ -32,14 +35,17 @@ Blocking protocol ops hand control to the protocol object, which calls
 :meth:`Processor.unblock` when the stall resolves.  The convention for
 ``Protocol.cpu_write`` is: return the new local time if the CPU may
 continue, or ``-1`` if the CPU must stall and retry the same write when
-woken (write-buffer full, or SC write miss).
+woken (write-buffer full, or SC write miss).  ``cpu_write_words`` never
+stalls: each of its words costs one cycle, which the CPU counts itself.
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from itertools import islice
 from typing import Optional
 
+from repro.engine.events import LANE_LOCAL
 from repro.engine.replay import (
     BATCH,
     ELEMENT,
@@ -100,6 +106,7 @@ class Processor:
         "_block_bucket",
         "_env",
         "_wake",
+        "_lane",
     )
 
     def __init__(self, node, machine) -> None:
@@ -118,23 +125,41 @@ class Processor:
         self.blocked = False
         self._block_t = 0
         self._block_bucket = B_READ
-        # What a quantum reads that is fixed once the node is built, so a
-        # wake-up unpacks it in one step.  Lazy protocols expose the
-        # coalescing buffer's word map so the steady-state write path (RW
-        # line, live entry) stays inline.
-        cache = node.cache
-        self._env = (
-            self.sim, node, cache.tags, cache.states, cache.set_mask,
-            self._line_shift, self._word_mask, self.stats, self.protocol,
-            node.wb.words if node.wb is not None else None,
-            node.cbuf.words if node.cbuf is not None else None,
-            self.protocol.wb_coalesce_states, self.id, cfg.quantum,
-        )
+        self._env = ()  # bound by start()
         # run_quantum bound once: every wake-up schedules this object.
         self._wake = self.run_quantum
+        # The event queue's local lane: unblock pushes the wake-up itself.
+        self._lane = self.sim.local_lane()
 
     def start(self, mops: list) -> None:
-        """Load a micro-program and schedule its first quantum at cycle 0."""
+        """Load a micro-program and schedule its first quantum at cycle 0.
+
+        Binds what every quantum reads and nothing changes during a run,
+        so a wake-up unpacks it in one step: the node's cache lists and
+        buffers (lazy protocols expose the coalescing buffer's word map,
+        so the steady-state write path, an RW line with a live entry,
+        stays inline), and the machine's observers, attached by now.  A
+        value model must see every element, so it runs spans
+        per-element; a classifier takes batched writes as span records.
+        With neither, a write that would open a present line's
+        coalescing-buffer entry opens it for all the span's words that
+        retire this quantum, in one ``cpu_write_words`` call.
+        """
+        node = self.node
+        cache = node.cache
+        prot = self.protocol
+        machine = self.machine
+        obs = machine.classifier
+        vm = machine.valmodel
+        wt = node.cbuf.words if node.cbuf is not None else None
+        self._env = (
+            self.sim, node, cache.tags, cache.states, cache.set_mask,
+            self._line_shift, self._word_mask, self.stats, prot,
+            node.wb.words if node.wb is not None else None, wt,
+            prot.wb_coalesce_states, self.id, machine.config.quantum,
+            obs, vm, vm is None, BATCH if vm is None else ELEMENT,
+            prot.cpu_write_words if vm is None and obs is None and wt is not None else None,
+        )
         self._prog = self._cur = iter(mops)
         self.sim.at(0, self._wake)
 
@@ -182,9 +207,9 @@ class Processor:
             st.wb_stall += stall
         else:
             st.sync_stall += stall
-        sim = self.sim
-        now = sim.now
-        sim.at(t if t > now else now, self._wake)
+        now = self.sim.now
+        heap, seq = self._lane
+        heappush(heap, (t if t > now else now, LANE_LOCAL, next(seq), self._wake, ()))
 
     def complete_pending_write(self) -> None:
         """Mark the blocked write op as performed (SC ownership grant).
@@ -226,19 +251,12 @@ class Processor:
     def run_quantum(self) -> None:
         (
             sim, node, tags, states, mask, lsh, wmask, stats, prot, wb_words, wt,
-            coalesce, my_id, quantum,
+            coalesce, my_id, quantum, obs, vm, fast, fresh, opener,
         ) = self._env
         t = sim.now
         deadline = t + quantum
-        machine = self.machine
-        obs = machine.classifier
-        vm = machine.valmodel
         prog = self._prog
         cur = self._cur
-        # A value model must see every element, so it runs spans
-        # per-element; a classifier takes batched writes as span records.
-        fast = vm is None
-        fresh = BATCH if fast else ELEMENT
 
         pend = self._pending
         self._pending = None
@@ -317,15 +335,23 @@ class Processor:
                                     if tags[s] == block and states[s] == 2:
                                         if wt is not None:
                                             ws = wt.get(block)
-                                            if ws is None:
+                                            if ws is not None:
+                                                ws.update(sp[5])
+                                            elif opener is None:
                                                 break
-                                            ws.update(sp[5])
+                                            else:
+                                                m = (sp[2] - spans[0][2]) // sp[4]
+                                                opener(node, t + 2 * m + 1, block, sp[5])
                                     else:
                                         st = states[s] if tags[s] == block else 0
                                         ws = wb_words.get(block) if st in coalesce else None
-                                        if ws is None:
+                                        if ws is not None:
+                                            ws.update(sp[5])
+                                        elif opener is None or not st:
                                             break
-                                        ws.update(sp[5])
+                                        else:
+                                            m = (sp[2] - spans[0][2]) // sp[4]
+                                            opener(node, t + 2 * m + 1, block, sp[5])
                                     if obs is not None:
                                         m = (sp[2] - spans[0][2]) // sp[4]
                                         obs.record_write_span(my_id, t + 2 * m + 1, block, sp[5], 2)
@@ -359,14 +385,18 @@ class Processor:
                                 ws = wb_words.get(block) if st in coalesce else None
                                 batch = ws is not None
                             rw = kind - WRITE_SPAN
-                            if not batch:
+                            if not batch and (opener is None or not st):
                                 mode = ELEMENT  # element 0 needs the protocol
                             elif fast and (count << rw) <= deadline - t + rw:
                                 # The whole span batches and fits: one step.
+                                # A present line with no buffer entry opens
+                                # one at the first write, for every word.
                                 if obs is not None:
                                     obs.record_write_span(my_id, t + rw, block, words, 1 + rw)
                                 if ws is not None:
                                     ws.update(words)
+                                elif not batch:
+                                    opener(node, t + rw, block, words)
                                 nw += count
                                 if rw:
                                     nr += count
@@ -376,7 +406,7 @@ class Processor:
                                     return
                                 continue
                             else:
-                                mode = fresh
+                                mode = fresh if batch else ELEMENT
                         else:
                             _, block, base, count, stride, words, j, kind, mode = op
                             mode = mode or fresh
@@ -475,6 +505,30 @@ class Processor:
                                     if wt is not None:
                                         wt[block].add(word)
                                     t += 1
+                                elif opener is not None and tags[s] == block and states[s]:
+                                    # This write opens the line's buffer
+                                    # entry: it does so for every element
+                                    # that retires before the deadline.
+                                    m = deadline - t
+                                    if kind == RW_SPAN:
+                                        m = (m >> 1) + 1
+                                    if m > count - j:
+                                        m = count - j
+                                    opener(node, t, block, words[j : j + m])
+                                    nw += m
+                                    t += m
+                                    if kind == RW_SPAN:
+                                        nr += m - 1
+                                        t += m - 1
+                                    j += m
+                                    if j == count:
+                                        break
+                                    self._pending = (
+                                        SPAN_CONT, block, base, count, stride, words, j,
+                                        kind, BATCH,
+                                    )
+                                    sim.at(t, self._wake)
+                                    return
                                 else:
                                     nt = prot.cpu_write(node, t, block, word)
                                     if nt < 0:

@@ -20,30 +20,32 @@ always current enough (Section 2's correctness argument).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, NamedTuple
 
 from repro.directory.entry import DIRTY, LazyEntry, SHARED, UNCACHED, WEAK
 
 
-@dataclass
-class LazyReadOutcome:
+class LazyReadOutcome(NamedTuple):
     """What the home must do after a read request."""
 
     state: int                      # new directory state
     weak_for_reader: bool           # reply tells reader to self-invalidate at acquire
-    notices_to: List[int] = field(default_factory=list)   # writers to notify
+    notices_to: List[int]           # writers to notify
 
 
-@dataclass
-class LazyWriteOutcome:
+class LazyWriteOutcome(NamedTuple):
     """What the home must do after a write request."""
 
     state: int
     needs_data: bool                # requester had no copy; send the line
-    notices_to: List[int] = field(default_factory=list)
-    await_acks: bool = False        # requester must wait for home's final ack
-    weak_for_writer: bool = False   # block weak: writer self-invalidates at acquire
+    notices_to: List[int]
+    await_acks: bool                # requester must wait for home's final ack
+    weak_for_writer: bool           # block weak: writer self-invalidates at acquire
+
+
+#: Outcomes are built with the C-level ``tuple.__new__``: every request
+#: makes one, and the generated ``__new__`` would cost a Python frame.
+_new = tuple.__new__
 
 
 class LazyDirectory:
@@ -71,7 +73,9 @@ class LazyDirectory:
 
     def read(self, block: int, reader: int) -> LazyReadOutcome:
         """Process a read request; returns the actions the home must take."""
-        e = self.entry(block)
+        e = self.entries.get(block)
+        if e is None:
+            e = self.entries[block] = LazyEntry()
         old = e.state
         notices: List[int] = []
         if e.state == UNCACHED:
@@ -102,7 +106,7 @@ class LazyDirectory:
                 "dir_read", self.home, block=block, frm=old, to=e.state,
                 reader=reader, notices=notices,
             )
-        return LazyReadOutcome(state=e.state, weak_for_reader=weak, notices_to=notices)
+        return _new(LazyReadOutcome, (e.state, weak, notices))
 
     def write(self, block: int, writer: int, has_copy: bool) -> LazyWriteOutcome:
         """Process a write request (write notice) from ``writer``.
@@ -110,7 +114,9 @@ class LazyDirectory:
         ``has_copy`` is True when the writer already caches the line
         read-only (upgrade; no data transfer needed).
         """
-        e = self.entry(block)
+        e = self.entries.get(block)
+        if e is None:
+            e = self.entries[block] = LazyEntry()
         notices: List[int] = []
         st = e.state
         old = st
@@ -153,12 +159,9 @@ class LazyDirectory:
                 "dir_write", self.home, block=block, frm=old, to=e.state,
                 writer=writer, notices=notices,
             )
-        return LazyWriteOutcome(
-            state=e.state,
-            needs_data=not has_copy,
-            notices_to=notices,
-            await_acks=bool(notices),
-            weak_for_writer=weak_for_writer,
+        return _new(
+            LazyWriteOutcome,
+            (e.state, not has_copy, notices, bool(notices), weak_for_writer),
         )
 
     # -- departures ---------------------------------------------------------------

@@ -35,7 +35,8 @@ from __future__ import annotations
 
 from functools import partial
 from heapq import heappop, heappush
-from typing import Any, Callable, List, Tuple
+from itertools import count
+from typing import Any, Callable, Iterator, List, Tuple
 
 #: Lane of events a node schedules for itself (FIFO by insertion).
 LANE_LOCAL = 0
@@ -46,12 +47,12 @@ LANE_REMOTE = 1
 class EventQueue:
     """Min-heap of local and remote-lane entries (module docstring).
 
-    ``push`` and ``push_remote`` build one lane's entry each.  Two hot
-    paths build entries in the same layouts inline: the fabric's send
-    (through :meth:`remote_pusher`) and the simulator loop's deferred
-    receive-NIC hand-off.  ``now`` is the queue's clock: the time of the
-    latest popped event.  Scheduling before it is a programming error
-    and raises.  A loop that pops the heap itself (the serial
+    ``push`` and ``push_remote`` build one lane's entry each.  Hot paths
+    build entries in the same layouts inline: the fabric's send (through
+    :meth:`remote_pusher` and :meth:`local_lane`), the CPU's wake-up and
+    the simulator loop's deferred receive-NIC hand-off.  ``now`` is the
+    queue's clock: the time of the latest popped event.  Scheduling
+    before it is a programming error and raises.  A loop that pops the heap itself (the serial
     :class:`~repro.engine.simulator.Simulator`, which *is* an event
     queue) advances ``now`` itself.
     """
@@ -60,7 +61,9 @@ class EventQueue:
 
     def __init__(self) -> None:
         self._heap: list = []
-        self._seq: int = 0
+        # The local lane's insertion sequence: ``next(self._seq)`` is one
+        # C-level call wherever an entry is built.
+        self._seq = count()
         self.now: int = 0
 
     def __len__(self) -> int:
@@ -79,9 +82,7 @@ class EventQueue:
             raise ValueError(
                 f"event scheduled in the past: {time} < now={self.now}"
             )
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(self._heap, (time, LANE_LOCAL, seq, callback, args))
+        heappush(self._heap, (time, LANE_LOCAL, next(self._seq), callback, args))
 
     def push_remote(
         self,
@@ -122,6 +123,16 @@ class EventQueue:
         send happens at or after ``now``.
         """
         return partial(heappush, self._heap)
+
+    def local_lane(self) -> Tuple[list, Iterator[int]]:
+        """``(heap, seq)``: the heap and the local lane's sequence counter,
+        for a hot path that builds local entries itself and pushes
+        ``(time, LANE_LOCAL, next(seq), callback, args)`` with ``heappush``.
+
+        Like :meth:`remote_pusher`, it skips ``push``'s past-time check,
+        so the caller must schedule at or after ``now``.
+        """
+        return self._heap, self._seq
 
     def pop(self) -> Tuple[int, Callable, tuple]:
         """Remove the earliest entry, advance ``now`` to its time and

@@ -32,7 +32,15 @@ needs no protocol work:
 * **write-buffer coalescing** — the block has a live write-buffer entry
   and its state is in the protocol's ``wb_coalesce_states`` (erc:
   INVALID and RO; lrc, lrc-ext, tardis: INVALID).  Such a write only
-  adds its word to the entry: 1 cycle, no message, no stall.
+  adds its word to the entry: 1 cycle, no message, no stall;
+* **entry opening** — the protocol has a coalescing buffer, the line is
+  present (RO, which the first write upgrades, or RW with no buffer
+  entry), and no value model or miss classifier is attached.  Only the
+  first write needs the protocol, to open the entry; the rest hit it.
+  The span's words go to the protocol in one ``cpu_write_words`` call
+  at the first write's time.  On the per-span path the same call
+  retires a span's elements up to the deadline, including the write
+  that resumes a read-write element after its read miss.
 
 Anything else takes the per-span path.  A run that does not fit hands
 all its spans to the processor as a second iterator; a run with a block
@@ -40,9 +48,10 @@ that fails the rule retires the spans before that block and hands over
 the rest, the failing span first.  There a span's tail
 ``[j, count)`` retires as one batch under the same rule, with the
 exact quantum-deadline split, and spans are *resumable*: an element that
-does need the protocol (a read miss, an RO upgrade, a cold
-coalescing-buffer entry, a full write buffer) runs alone through the
-per-element step, and the rest of the span re-qualifies for the batch.
+does need the protocol (a read miss, a write miss, a full write buffer,
+or an entry-opening write under a value model or classifier) runs alone
+through the per-element step, and the rest of the span re-qualifies for
+the batch.
 A miss or stall parks the span as a continuation that resumes at the
 same element.  Only a value model, which must see every element, runs
 spans wholly per-element; a miss classifier takes batched writes as
@@ -50,9 +59,12 @@ spans wholly per-element; a miss classifier takes batched writes as
 
 Bit-identity contract: no simulator event can run between the elements
 of a span or the spans of a run (the CPU loop is synchronous within a
-quantum), and neither batchable case changes cache, buffer or protocol
-state beyond the words it adds, so the preconditions checked at the
-head of a tail hold for all of it.  A run that fits before the deadline
+quantum), and the first two batchable cases change no cache, buffer or
+protocol state beyond the words they add, so the preconditions checked
+at the head of a tail hold for all of it.  An entry-opening call changes
+state once, at the opening write's time, as the per-element step does,
+and opens the buffer's newest entry, which the background drain never
+takes: the span's later writes hit it.  A run that fits before the deadline
 crosses it, if at all, only with its last element, so retiring its
 spans back to back is what the per-span path does.  The batch formulas
 reproduce the per-element time/stat arithmetic exactly, including

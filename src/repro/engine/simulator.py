@@ -62,9 +62,48 @@ class Simulator(EventQueue):
         A remote-lane entry is one arrival event: it books the receive
         NIC ``nic[dst]`` (busy-until, like every resource) and calls
         ``handler(t, *args)`` at once if the NIC is free, or defers the
-        hand-off to a local-lane event at the time it frees.
+        hand-off to a local-lane event at the time it frees.  With no
+        ``post_event_hook`` set, the loop has no per-event hook check;
+        :meth:`_run_hooked` is the same loop with the hook.
         """
+        if self.post_event_hook is not None:
+            return self._run_hooked()
         heap = self._heap
+        seq = self._seq
+        max_cycles = self.max_cycles
+        n = 0
+        try:
+            while heap:
+                entry = heappop(heap)
+                time = entry[0]
+                if time > max_cycles:
+                    raise RuntimeError(
+                        f"simulation exceeded max_cycles={self.max_cycles}"
+                    )
+                self.now = time
+                if entry[1]:
+                    _t, _lane, _src, _sseq, handler, args, nic, dst, occ = entry
+                    free = nic[dst]
+                    if free <= time:
+                        nic[dst] = time + occ
+                        handler(time, *args)
+                    else:
+                        nic[dst] = free + occ
+                        heappush(
+                            heap,
+                            (free, LANE_LOCAL, next(seq), handler, (free, *args)),
+                        )
+                else:
+                    entry[3](*entry[4])
+                n += 1
+        finally:
+            self.events_processed += n
+        return self.now
+
+    def _run_hooked(self) -> int:
+        """:meth:`run`, calling ``post_event_hook()`` after every event."""
+        heap = self._heap
+        seq = self._seq
         hook = self.post_event_hook
         max_cycles = self.max_cycles
         n = 0
@@ -85,17 +124,14 @@ class Simulator(EventQueue):
                         handler(time, *args)
                     else:
                         nic[dst] = free + occ
-                        seq = self._seq
-                        self._seq = seq + 1
                         heappush(
                             heap,
-                            (free, LANE_LOCAL, seq, handler, (free, *args)),
+                            (free, LANE_LOCAL, next(seq), handler, (free, *args)),
                         )
                 else:
                     entry[3](*entry[4])
                 n += 1
-                if hook is not None:
-                    hook()
+                hook()
         finally:
             self.events_processed += n
         return self.now

@@ -26,12 +26,31 @@ fixtures encode.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List
+from functools import lru_cache
+from heapq import heappush
+from typing import Any, Callable, List, Tuple
 
 from repro.config import SystemConfig
-from repro.engine.events import LANE_REMOTE
+from repro.engine.events import LANE_LOCAL, LANE_REMOTE
 from repro.engine.simulator import Simulator
 from repro.network.messages import DATA_BEARING, MessageStats, MsgType
+
+
+@lru_cache(maxsize=4)
+def hop_table(n: int, width: int) -> Tuple[Tuple[int, ...], ...]:
+    """Mesh hop counts (:meth:`SystemConfig.hops`) of every node pair of
+    an ``n``-node mesh ``width`` nodes wide, as ``table[src][dst]``.
+
+    Built once per mesh and shared, read-only, by every fabric on it.
+    Rows hold Python ints, not bytes: a prime ``n`` makes a 1 x n mesh,
+    whose hop counts reach ``n - 1``, past 255 once ``n`` passes 256.
+    """
+    xs = [i % width for i in range(n)]
+    ys = [i // width for i in range(n)]
+    return tuple(
+        tuple(abs(x - xd) + abs(y - yd) for xd, yd in zip(xs, ys))
+        for x, y in zip(xs, ys)
+    )
 
 
 class Fabric:
@@ -57,11 +76,9 @@ class Fabric:
         self.data_in: List[int] = [0] * n
         self.ctl_out: List[int] = [0] * n
         self.ctl_in: List[int] = [0] * n
-        # Mesh coordinates: hop counts are Manhattan distances between
-        # them (SystemConfig.hops), computed inline on every send.
-        w = config.mesh_dims[0]
-        self._x: List[int] = [i % w for i in range(n)]
-        self._y: List[int] = [i // w for i in range(n)]
+        # Hop counts, one row per source node: a send indexes
+        # ``_hops[src][dst]``.
+        self._hops = hop_table(n, config.mesh_dims[0])
         # Per-source send counters: the canonical remote-lane tie-break.
         # Incremented in the sender's own (deterministic) execution order,
         # so the key never depends on cross-node event interleaving.
@@ -81,6 +98,8 @@ class Fabric:
         # The remote-lane push of a message's arrival entry.  The jitter
         # fabric rebinds it to delay arrivals (repro.network.jitter).
         self._deliver_remote = sim.remote_pusher()
+        # A same-node message is a local-lane event at its send time.
+        self._heap, self._lseq = sim.local_lane()
         # Event tracer (set by Machine when tracing is on).
         self.tracer = None
 
@@ -114,16 +133,14 @@ class Fabric:
             # processor hand-off (modeled by the handler's own costs).
             if self.tracer is not None:
                 self.tracer.emit(
-                    "msg", src, t=t, dst=dst, type=mtype.name, size=size,
+                    "msg", src, t=t, dst=dst, type=MsgType(mtype).name, size=size,
                     arrival=t,
                 )
-            self.sim.at(t, handler, t, *args)
+            heappush(
+                self._heap, (t, LANE_LOCAL, next(self._lseq), handler, (t, *args))
+            )
             return t
-        x = self._x
-        y = self._y
-        dx = x[src] - x[dst]
-        dy = y[src] - y[dst]
-        hops = (dx if dx >= 0 else -dx) + (dy if dy >= 0 else -dy)
+        hops = self._hops[src][dst]
         self.stats.total_hops += hops
         occ = self._occ[size]
         if size:
@@ -142,7 +159,7 @@ class Fabric:
             chan = self.ctl_in
         if self.tracer is not None:
             self.tracer.emit(
-                "msg", src, t=t, dst=dst, type=mtype.name, size=size,
+                "msg", src, t=t, dst=dst, type=MsgType(mtype).name, size=size,
                 arrival=arrival,
             )
         sseq = self._sseq[src]

@@ -38,12 +38,14 @@ class MsgType(IntEnum):
     TS_BUMP = 20          # tardis: advance a block's write timestamp at home
 
 
-# The members as module constants (``from repro.network.messages import
-# ACK``), the way :mod:`re` exports its flags.  Send sites name a type
-# on every message, and on CPython 3.11 a module-global load is several
-# times cheaper than ``MsgType.ACK``, which goes through the enum
-# metaclass's ``__getattr__`` hook.
-globals().update(MsgType.__members__)
+# The members' values as plain-int module constants (``from
+# repro.network.messages import ACK``).  Send sites name a type on every
+# message: on CPython 3.11 a module-global load is several times cheaper
+# than ``MsgType.ACK``, which goes through the enum metaclass's
+# ``__getattr__`` hook, and the fabric indexes its per-type lists with
+# the type, which takes the interpreter's list-by-int fast path only for
+# an exact ``int``.  ``MsgType(k).name`` names one.
+globals().update({name: int(m) for name, m in MsgType.__members__.items()})
 
 
 #: Message types that carry a full cache line of payload.
@@ -80,11 +82,6 @@ class MessageStats:
         self.bytes: List[int] = [0] * len(MsgType)
         self.total_hops: int = 0
         self.delays_injected: int = 0
-
-    def record(self, mtype: MsgType, size: int, hops: int) -> None:
-        self.count[mtype] += 1
-        self.bytes[mtype] += size
-        self.total_hops += hops
 
     @property
     def total_messages(self) -> int:

@@ -3,7 +3,8 @@
 A protocol implements two halves:
 
 * **CPU side** — hooks called by the processor when the inline fast paths
-  miss: ``cpu_read_miss``, ``cpu_write``, ``cpu_acquire``, ``cpu_release``,
+  miss: ``cpu_read_miss``, ``cpu_write``, ``cpu_write_words`` (protocols
+  with a coalescing buffer), ``cpu_acquire``, ``cpu_release``,
   ``cpu_barrier``, ``cpu_fence``.
 * **Home side** — message handlers that run at a block's home node and
   drive the directory state machine.
@@ -77,6 +78,15 @@ class Protocol:
         raise NotImplementedError
 
     def cpu_write(self, node, t: int, block: int, word: int) -> int:
+        raise NotImplementedError
+
+    def cpu_write_words(self, node, t: int, block: int, words: tuple) -> None:
+        """Write ``words`` to a present (RO or RW) line, one cycle each
+        from ``t``, where only the first write needs the protocol.
+
+        Provided by protocols with a coalescing buffer, which open the
+        line's buffer entry here.  The CPU calls it with a whole span's
+        words instead of one ``cpu_write`` per element."""
         raise NotImplementedError
 
     # -- release/acquire hook defaults (eager semantics) ----------------------------

@@ -100,23 +100,8 @@ class LRCProtocol(Protocol):
         )
 
     def cpu_write(self, node, t: int, block: int, word: int) -> int:
-        state = node.cache.lookup(block)
-        obs = self.machine.classifier
-        if state == RW:
-            # Fast path fell through only because the coalescing buffer
-            # has no live entry for this block: start one.
-            self._cbuf_add(node, t, block, {word})
-            return t + 1
-        if state == RO:
-            # The write retires immediately: no need to wait for the home
-            # ("we do not need to use the home node as a serializing
-            # point").  The notice transaction proceeds in the background.
-            node.stats.upgrade_misses += 1
-            if obs is not None:
-                obs.classify_write_upgrade(node.id, block, t)
-            node.cache.upgrade(block)
-            self._cbuf_add(node, t, block, {word})
-            self._send_write_notice(node, t, block, has_copy=True)
+        if node.cache.lookup(block):
+            self.cpu_write_words(node, t, block, (word,))
             return t + 1
         # Line absent: the write buffer holds the words until the line
         # arrives from the home.
@@ -126,10 +111,81 @@ class LRCProtocol(Protocol):
             return -1
         if not existing:  # new entry: start the fetch
             node.stats.write_misses += 1
+            obs = self.machine.classifier
             if obs is not None:
                 obs.classify_miss(node.id, block, word, t)
             self._issue_write_fetch(node, t, block)
         return t + 1
+
+    def cpu_write_words(self, node, t: int, block: int, words) -> None:
+        """Write ``words`` (word indices) of a present line into its
+        coalescing-buffer entry.
+
+        Every write to a present line that is not a buffer hit lands
+        here: ``cpu_write`` with one word, the CPU with a whole span's
+        words when only the first write needs the protocol, and the write
+        buffer as it retires an entry onto its fetched RW line.  An RO
+        line is upgraded first: the write retires immediately, with no
+        need to wait for the home ("we do not need to use the home node
+        as a serializing point"), and :meth:`_announce_upgrade` starts
+        the notice transaction in the background.  Each write costs the
+        CPU one cycle; the caller advances its own clock.
+
+        The buffer's add, FIFO victim and background drain run here in
+        one frame, on its ``order`` deque and ``words`` map; the
+        :class:`CoalescingBuffer` methods serve every other caller.  The
+        entry for ``block`` is never the one drained: the drain keeps
+        the newest entry.
+        """
+        cache = node.cache
+        upgrade = cache.states[block & cache.set_mask] == RO
+        if upgrade:
+            node.stats.upgrade_misses += 1
+            obs = self.machine.classifier
+            if obs is not None:
+                obs.classify_write_upgrade(node.id, block, t)
+            cache.upgrade(block)
+        if node.release_cb is not None:
+            # A release fence is already waiting: write-buffer entries that
+            # retire now must go straight through to memory, or the fence
+            # would deadlock waiting for a buffer it already drained.
+            self._flush_words(node, t, block, set(words))
+        else:
+            cbuf = node.cbuf
+            entries = cbuf.words
+            order = cbuf.order
+            ws = entries.get(block)
+            victim = None
+            if ws is not None:
+                ws.update(words)
+            else:
+                if len(order) >= cbuf.capacity:
+                    victim = order.popleft()
+                    vwords = entries.pop(victim)
+                entries[block] = set(words)
+                order.append(block)
+                if cbuf.tracer is not None:
+                    cbuf.tracer.emit(
+                        "cbuf_add", cbuf.owner, block=block, victim=victim,
+                        depth=len(order),
+                    )
+            if victim is not None:
+                self._flush_words(node, t, victim, vwords)
+            else:
+                # The background drain (see _kick_drain).
+                while len(order) >= 2 and node.wt_drain_busy < self.DRAIN_WIDTH:
+                    head = order.popleft()
+                    hwords = entries.pop(head)
+                    if cbuf.tracer is not None:
+                        cbuf.tracer.emit("cbuf_remove", cbuf.owner, block=head)
+                    node.wt_drain_busy += 1
+                    self._flush_words(node, t, head, hwords, True)
+        if upgrade:
+            self._announce_upgrade(node, t, block)
+
+    def _announce_upgrade(self, node, t: int, block: int) -> None:
+        """An RO line was upgraded by a write: send the write notice."""
+        self._send_write_notice(node, t, block, has_copy=True)
 
     def _issue_write_fetch(self, node, t: int, block: int) -> None:
         node.wb_fetching.add(block)
@@ -169,19 +225,6 @@ class LRCProtocol(Protocol):
 
     # -- coalescing buffer -----------------------------------------------------------
 
-    def _cbuf_add(self, node, t: int, block: int, words: Set[int]) -> None:
-        if node.release_cb is not None:
-            # A release fence is already waiting: write-buffer entries that
-            # retire now must go straight through to memory, or the fence
-            # would deadlock waiting for a buffer it already drained.
-            self._flush_words(node, t, block, words)
-            return
-        victim = node.cbuf.add(block, words)
-        if victim is not None:
-            self._flush_words(node, t, victim[0], victim[1])
-        else:
-            self._kick_drain(node, t)
-
     #: Maximum concurrent background write-through flushes per node.
     DRAIN_WIDTH = 4
 
@@ -195,33 +238,41 @@ class LRCProtocol(Protocol):
         """
         cbuf = node.cbuf
         order = cbuf.order
-        if len(order) < 2:
-            return
+        entries = cbuf.words
         while node.wt_drain_busy < self.DRAIN_WIDTH and len(order) >= 2:
-            head = order[0]
-            words = cbuf.remove(head)
+            head = order.popleft()
+            words = entries.pop(head)
+            if cbuf.tracer is not None:
+                cbuf.tracer.emit("cbuf_remove", cbuf.owner, block=head)
             node.wt_drain_busy += 1
-            self._flush_words(node, t, head, words, background=True)
+            self._flush_words(node, t, head, words, True)
 
     def _flush_words(
         self, node, t: int, block: int, words: Set[int], background: bool = False
     ) -> None:
-        """Write dirty words through to the home memory (asks for an ack)."""
-        node.txn_start()
+        """Write dirty words through to the home memory (asks for an ack).
+
+        Opens a transaction the release waits on (``Node.txn_start``,
+        inline)."""
+        nid = node.id
+        node.out_count += 1
+        if node.tracer is not None:
+            node.tracer.emit("txn_start", nid, out=node.out_count)
         inflight = node.wt_inflight
         inflight[block] = inflight.get(block, 0) + 1
         self.stats.write_throughs += 1
         size = len(words) * self._word_size
         vm = self.machine.valmodel
-        nid = node.id
+        home = self.home_of(block)
         self.fabric.send(
             nid,
-            self.home_of(block),
+            home,
             WRITE_THROUGH,
             t,
             self._h_write_through,
             block,
             nid,
+            home,
             size,
             background,
             vm.flush_capture(nid, block, words) if vm is not None else None,
@@ -229,23 +280,33 @@ class LRCProtocol(Protocol):
         )
 
     def _h_write_through(
-        self, t: int, block: int, src: int, size: int, background: bool, data=None
+        self, t: int, block: int, src: int, home: int, size: int,
+        background: bool, data,
     ) -> None:
-        home = self.nodes[self.home_of(block)]
         vm = self.machine.valmodel
         if vm is not None:
             vm.apply_home(block, data)
-        wr = home.mem.wr
+        wr = self.nodes[home].mem.wr
         free = wr.free_at
         tm = (t if t >= free else free) + self._mem_time[size]
         wr.free_at = tm
         self.fabric.send(
-            home.id, src, ACK, tm, self._h_wt_ack, src, background, block
+            home, src, ACK, tm, self._h_wt_ack, src, background, block
         )
 
     def _h_wt_ack(self, t: int, src: int, background: bool, block: int) -> None:
+        """A write-through reached memory: close its transaction
+        (``Node.txn_done``, inline), release any misses held behind it,
+        and keep the background drain going."""
         node = self.nodes[src]
-        node.txn_done(t)
+        out = node.out_count - 1
+        node.out_count = out
+        if node.tracer is not None:
+            node.tracer.emit("txn_done", src, t=t, out=out)
+        if out < 0:
+            raise RuntimeError(f"node {src}: negative outstanding count")
+        if out == 0 and node.release_cb is not None:
+            node.check_release(t)
         if background:
             node.wt_drain_busy -= 1
         inflight = node.wt_inflight
@@ -254,9 +315,11 @@ class LRCProtocol(Protocol):
             inflight[block] = left
         else:
             del inflight[block]
-            for kind in node.wt_waiters.pop(block, ()):
-                self._wt_waiter_resume(node, t, block, kind)
-        if background:
+            waiters = node.wt_waiters
+            if waiters:
+                for kind in waiters.pop(block, ()):
+                    self._wt_waiter_resume(node, t, block, kind)
+        if background and len(node.cbuf.order) >= 2:
             self._kick_drain(node, t)
 
     def _wt_waiter_resume(self, node, t: int, block: int, kind: str) -> None:
@@ -401,8 +464,8 @@ class LRCProtocol(Protocol):
         free = pp.free_at
         tp = (t if t >= free else free) + self._dir_cost
         directory = home.directory
-        e = directory.entry(block)
         out = directory.write(block, requester, has_copy)
+        e = directory.entries[block]
         notices = out.notices_to
         awaiting = bool(notices) or e.pending_acks > 0
         # Data reply (if the writer lacks the line) is sent immediately —
@@ -489,7 +552,7 @@ class LRCProtocol(Protocol):
                 words = wb.retire_head()
                 if vm is not None:
                     vm.wb_retire(node.id, head)
-                self._cbuf_add(node, t, head, words)
+                self.cpu_write_words(node, t, head, words)
                 retired = True
             else:
                 if head not in node.wb_fetching:

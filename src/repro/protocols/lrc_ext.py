@@ -28,7 +28,7 @@ continuously, so home memory stays current; only the *notices* are lazy.
 
 from __future__ import annotations
 
-from repro.cache.state import INVALID, RO, RW
+from repro.cache.state import RW
 from repro.network.messages import DATA_REPLY, READ_REQ, WRITE_NOTICE
 from repro.protocols.lrc import LRCProtocol
 
@@ -40,30 +40,9 @@ class LRCExtProtocol(LRCProtocol):
     # CPU side
     # ==========================================================================
 
-    def cpu_write(self, node, t: int, block: int, word: int) -> int:
-        state = node.cache.lookup(block)
-        obs = self.machine.classifier
-        if state == RW:
-            self._cbuf_add(node, t, block, {word})
-            return t + 1
-        if state == RO:
-            node.stats.upgrade_misses += 1
-            if obs is not None:
-                obs.classify_write_upgrade(node.id, block, t)
-            node.cache.upgrade(block)
-            node.deferred_notices.add(block)
-            self._cbuf_add(node, t, block, {word})
-            return t + 1
-        wb = node.wb
-        existing = wb.contains(block)
-        if not wb.add(block, word):
-            return -1
-        if not existing:
-            node.stats.write_misses += 1
-            if obs is not None:
-                obs.classify_miss(node.id, block, word, t)
-            self._issue_write_fetch(node, t, block)
-        return t + 1
+    def _announce_upgrade(self, node, t: int, block: int) -> None:
+        """An RO line was upgraded by a write: defer its notice."""
+        node.deferred_notices.add(block)
 
     def _send_write_fetch(self, node, t: int, block: int) -> None:
         """Fetch the line as a *reader*; the write notice stays deferred."""

@@ -50,8 +50,6 @@ LRC's acquire-time invalidations are.
 
 from __future__ import annotations
 
-from typing import Set
-
 from repro.cache.state import RO, RW
 from repro.directory.timestamp import TardisDirectory
 from repro.network.messages import (
@@ -98,32 +96,10 @@ class TardisProtocol(LRCProtocol):
             False,
         )
 
-    def cpu_write(self, node, t: int, block: int, word: int) -> int:
-        state = node.cache.lookup(block)
-        obs = self.machine.classifier
-        if state == RW:
-            self._cbuf_add(node, t, block, {word})
-            return t + 1
-        if state == RO:
-            # Purely local upgrade: there is no sharer list to notify and
-            # no serializing owner; the write is published by the
-            # release-time timestamp bump.
-            node.stats.upgrade_misses += 1
-            if obs is not None:
-                obs.classify_write_upgrade(node.id, block, t)
-            node.cache.upgrade(block)
-            self._cbuf_add(node, t, block, {word})
-            return t + 1
-        wb = node.wb
-        existing = wb.contains(block)
-        if not wb.add(block, word):
-            return -1
-        if not existing:
-            node.stats.write_misses += 1
-            if obs is not None:
-                obs.classify_miss(node.id, block, word, t)
-            self._issue_write_fetch(node, t, block)
-        return t + 1
+    def _announce_upgrade(self, node, t: int, block: int) -> None:
+        """Purely local upgrade: there is no sharer list to notify and no
+        serializing owner; the write is published by the release-time
+        timestamp bump."""
 
     # _issue_write_fetch is inherited (txn_start + wt_inflight gate); the
     # actual fetch is a read-shaped request that installs RW.
@@ -141,10 +117,12 @@ class TardisProtocol(LRCProtocol):
             True,
         )
 
-    def _cbuf_add(self, node, t: int, block: int, words: Set[int]) -> None:
+    def cpu_write_words(self, node, t: int, block: int, words) -> None:
+        """LRC's buffer write, recording ``block`` as written this epoch
+        (``ts_dirty``): the next release bumps its timestamp."""
         late = node.release_cb is not None and block not in node.ts_dirty
         node.ts_dirty.add(block)
-        super()._cbuf_add(node, t, block, words)
+        LRCProtocol.cpu_write_words(self, node, t, block, words)
         if late:
             # A release fence already swept ts_dirty (write-buffer entries
             # retiring under the fence land here): bump now, *after* the
@@ -226,7 +204,8 @@ class TardisProtocol(LRCProtocol):
         new clock may be stale and is dropped.  No message is sent — the
         home tracks no sharers.  Returns the completion time."""
         pts = node.pts
-        expired = [b for b, lease in node.ts_lease.items() if lease < pts]
+        leases = node.ts_lease
+        expired = [b for b, lease in leases.items() if lease < pts]
         if not expired:
             return t
         expired.sort()
@@ -237,20 +216,23 @@ class TardisProtocol(LRCProtocol):
         if t < free:
             t = free
         cost = self._notice_cost
+        cache = node.cache
+        cbuf = node.cbuf
+        dropped = 0
         for block in expired:
             t += cost
-            del node.ts_lease[block]
-            if node.cache.invalidate(block):
-                node.stats.acquire_invalidations += 1
-                self.stats.acquire_invalidations += 1
-                self.stats.lease_expirations += 1
+            del leases[block]
+            if cache.invalidate(block):
+                dropped += 1
                 if obs is not None:
                     obs.record_invalidation(node.id, block, t)
                 # Unflushed words for a dying line must reach memory for
                 # the multiple-writer merge to be correct.
-                words = node.cbuf.remove(block)
-                if words:
-                    self._flush_words(node, t, block, words)
+                if block in cbuf.words:
+                    self._flush_words(node, t, block, cbuf.remove(block))
+        node.stats.acquire_invalidations += dropped
+        self.stats.acquire_invalidations += dropped
+        self.stats.lease_expirations += dropped
         pp.free_at = t
         return t
 

@@ -223,6 +223,20 @@ class TestEventsPerMessage:
             "BARRIER_EXIT": 4, "FLAG_SET": 47, "FLAG_WAIT": 141,
             "FLAG_GRANT": 141,
         }),
+        # Recorded before write and read-write spans opened their
+        # coalescing-buffer entry in one protocol call.
+        ("gauss", "tardis", 4): (16282, {
+            "READ_REQ": 2560, "DATA_REPLY": 2560, "ACK": 3567,
+            "WRITE_THROUGH": 2812, "BARRIER_ARRIVE": 4, "BARRIER_EXIT": 4,
+            "FLAG_SET": 47, "FLAG_WAIT": 141, "FLAG_GRANT": 141,
+            "TS_BUMP": 755,
+        }),
+        ("fft", "lrc-ext", 4): (5412, {
+            "READ_REQ": 384, "WRITE_REQ": 128, "DATA_REPLY": 384,
+            "ACK": 1536, "WRITE_NOTICE": 128, "WRITE_THROUGH": 1408,
+            "EVICT_NOTICE": 128, "RELINQUISH": 128, "BARRIER_ARRIVE": 44,
+            "BARRIER_EXIT": 44,
+        }),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES), ids=lambda c: "-".join(map(str, c)))

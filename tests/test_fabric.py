@@ -141,12 +141,21 @@ class TestFabricTiming:
         assert f.stats.total_hops == 4
 
     def test_hop_accounting_matches_config_hops(self):
-        cfg = SystemConfig(n_procs=12)  # 3 x 4: a non-square mesh
-        for a in range(12):
-            for b in range(12):
-                f = Fabric(cfg, Simulator())
-                f.send(a, b, MsgType.ACK, 0, lambda t: None)
-                assert f.stats.total_hops == cfg.hops(a, b)
+        # 3 x 4 is a non-square mesh; a prime count makes a 1 x n mesh.
+        for n in (12, 13):
+            cfg = SystemConfig(n_procs=n)
+            for a in range(n):
+                for b in range(n):
+                    f = Fabric(cfg, Simulator())
+                    arrival = f.send(a, b, MsgType.ACK, 0, lambda t: None)
+                    assert f.stats.total_hops == cfg.hops(a, b)
+                    assert arrival == cfg.hop_latency * cfg.hops(a, b)
+        # A prime count past 256: a hop count past 255 is held exactly.
+        cfg = SystemConfig(n_procs=257)
+        f = Fabric(cfg, Simulator())
+        arrival = f.send(0, 256, MsgType.ACK, 0, lambda t: None)
+        assert f.stats.total_hops == cfg.hops(0, 256) == 256
+        assert arrival == cfg.hop_latency * 256
 
     def test_handler_args_passed(self):
         f, sim = make_fabric(4)
@@ -237,9 +246,11 @@ class TestMessageStatsSerialization:
     ]
 
     def _stats(self):
+        # Bumped the way the fabric's send path bumps them.
         s = MessageStats()
         for mtype, size in self.SENT:
-            s.record(mtype, size, 0)
+            s.count[mtype] += 1
+            s.bytes[mtype] += size
         return s
 
     def test_to_dict_matches_the_counter_form(self):

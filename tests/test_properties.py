@@ -192,6 +192,59 @@ def test_coalescing_buffer_conserves_words(entries):
     assert flushed == {b: w for b, w in written.items() if w}
 
 
+#: ``(block, words, acks)``: a write of ``words`` to ``block``, then
+#: ``acks`` background flushes acknowledged (mostly none, so flushes pile
+#: up, the buffer fills and FIFO victims go out).
+_BUFFER_OPS = st.lists(
+    st.tuples(
+        st.integers(0, 9),
+        st.sets(st.integers(0, 15), min_size=1, max_size=4),
+        st.sampled_from((0, 0, 0, 0, 1, 2)),
+    ),
+    max_size=80,
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_BUFFER_OPS)
+def test_lazy_buffer_add_matches_coalescing_buffer(ops):
+    """The lazy protocols add to the coalescing buffer inline, in
+    ``cpu_write_words``: merge or open the entry, flush a FIFO victim,
+    or drain older entries in the background.  ``CoalescingBuffer``'s
+    ``add`` and ``remove`` are the reference."""
+    from repro.core.machine import Machine
+
+    machine = Machine(SystemConfig.scaled(n_procs=2, cbuf_entries=4), protocol="lrc")
+    prot = machine.protocol
+    node = machine.nodes[0]
+    flushed = []
+    prot._flush_words = lambda n, t, block, words, background=False: flushed.append(
+        (block, set(words), background)
+    )
+    for block in range(10):
+        node.cache.install(block, RW)
+    ref = CoalescingBuffer(4)
+    expected = []
+    busy = 0
+    for block, words, acks in ops:
+        prot.cpu_write_words(node, 0, block, tuple(words))
+        victim = ref.add(block, words)
+        if victim is not None:
+            expected.append((victim[0], victim[1], False))
+        else:
+            while len(ref) >= 2 and busy < prot.DRAIN_WIDTH:
+                head = ref.order[0]
+                expected.append((head, ref.remove(head), True))
+                busy += 1
+        assert flushed == expected
+        assert list(node.cbuf.order) == list(ref.order)
+        assert node.cbuf.words == ref.words
+        assert node.wt_drain_busy == busy
+        acks = min(acks, busy)
+        busy -= acks
+        node.wt_drain_busy -= acks
+
+
 # ---------------------------------------------------------------------------
 # Lazy directory invariants
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from repro.engine.replay import (
     compile_stream,
 )
 from repro.harness.spec import ExperimentSpec
+from repro.network.messages import MsgType
 from repro.program.ops import (
     BARRIER,
     COMPUTE,
@@ -450,6 +451,28 @@ def bystander(*writes):
     yield (BARRIER, 1)
 
 
+def write_words_spy():
+    """``(spy, runs)``: ``spy(machine)`` logs processor 0's
+    ``cpu_write_words`` calls as ``(t, block, number of words)`` into a
+    fresh list per machine, appended to ``runs``."""
+    runs = []
+
+    def spy(machine):
+        calls = []
+        runs.append(calls)
+        prot = machine.protocol
+        hook = prot.cpu_write_words
+
+        def logged(node, t, block, words):
+            if node.id == 0:
+                calls.append((t, block, len(words)))
+            return hook(node, t, block, words)
+
+        prot.cpu_write_words = logged
+
+    return spy, runs
+
+
 class TestRunMicroOps:
     """Edge cases of the run micro-op on hand-written programs, each held
     to the differential oracle: the batched run equals the value-checked
@@ -539,8 +562,9 @@ class TestRunMicroOps:
     def test_rw_run_whose_second_block_has_no_buffer_entry(self, proto):
         # The barrier drains the coalescing buffer; the scalar write then
         # starts an entry for block 0 only.  The rerun batches block 0,
-        # and block 1, a read-write line with no entry, takes the
-        # per-element step, whose write starts its entry.
+        # and block 1, a read-write line with no entry, opens its entry
+        # for all 16 of its words in one protocol call; block 2, also
+        # without one, opens its own for its 9 words.
         def programs(base):
             def p0():
                 yield (RW_RUN, base + 8, 40, 8)
@@ -551,24 +575,15 @@ class TestRunMicroOps:
 
             return [p0(), bystander()]
 
-        writes = []
-
-        def spy(machine):
-            proto_obj = machine.protocol
-            cpu_write = proto_obj.cpu_write
-
-            def logged(node, t, block, word):
-                if node.id == 0:
-                    writes.append(block)
-                return cpu_write(node, t, block, word)
-
-            proto_obj.cpu_write = logged
-
+        spy, runs = write_words_spy()
         machine, _ = assert_hand_differential(programs, proto, spy=spy)
+        batched, element = runs
         b0 = machine.space.segments[0].base // LINE
-        # Phase 1 writes each block through the protocol once; phase 2
-        # starts with the scalar write, then block 1 (block 0 batched).
-        assert writes[3:5] == [b0, b0 + 1]
+        # Phase 1 opens each block's entry once, after its read miss;
+        # phase 2 starts with the scalar write.
+        assert [c[1:] for c in batched[3:]] == [(b0, 1), (b0 + 1, 16), (b0 + 2, 9)]
+        # The value-checked run writes word by word.
+        assert {c[2] for c in element} == {1}
 
     @pytest.mark.parametrize("proto, warm", [("erc", [15, 16, 9]), ("lrc", [15, 15, 8])])
     def test_classified_run_records_the_same_writes(self, proto, warm):
@@ -623,6 +638,143 @@ class TestRunMicroOps:
         assert batched_writes == element_writes
         assert no_spans == []
         assert any(spans[i : i + 3] == warm for i in range(len(spans)))
+
+
+def message_log(machine, log):
+    """Log every message ``machine`` sends as ``(type, src, dst, t)``."""
+    send = machine.fabric.send
+
+    def logged(src, dst, mtype, t, handler, *args, size=-1):
+        log.append((int(mtype), src, dst, t))
+        return send(src, dst, mtype, t, handler, *args, size=size)
+
+    machine.fabric.send = logged
+
+
+class TestOpenEntryInOneStep:
+    """A write or read-write span whose first write opens its line's
+    coalescing-buffer entry (an RO upgrade, an RW line with no entry, the
+    write after a read miss) retires in one ``cpu_write_words`` call.
+    Each case is held to the differential oracle, and the batched and
+    value-checked per-element runs must send the same messages at the
+    same times."""
+
+    @staticmethod
+    def run_both(programs, proto, **kw):
+        """The differential check plus message logs; returns the
+        machine, the batched run's ``cpu_write_words`` calls, and its
+        message log."""
+        spy_words, calls = write_words_spy()
+        logs = []
+
+        def spy(machine):
+            spy_words(machine)
+            logs.append([])
+            message_log(machine, logs[-1])
+
+        machine, _ = assert_hand_differential(programs, proto, spy=spy, **kw)
+        assert logs[0] == logs[1]
+        return machine, calls[0], logs[0]
+
+    @pytest.mark.parametrize("proto", ("lrc", "lrc-ext", "tardis"))
+    def test_ro_upgrade_span(self, proto):
+        # Block 0 is read, so cached RO; the write span then upgrades it
+        # and opens its entry for all 10 words.  Block 1 is read whole,
+        # and the read-write span over it does the same.
+        def programs(base):
+            def p0():
+                yield (READ, base + 8)
+                yield (READ, base + LINE + 8)
+                yield (COMPUTE, 10)
+                yield (WRITE_RUN, base + 16, 10, 8)
+                yield (RW_RUN, base + LINE + 8, 12, 8)
+                yield (BARRIER, 0)
+                yield (BARRIER, 1)
+
+            return [p0(), bystander()]
+
+        machine, calls, log = self.run_both(programs, proto)
+        b0 = machine.space.segments[0].base // LINE
+        assert [c[1:] for c in calls] == [(b0, 10), (b0 + 1, 12)]
+        (t0, _, _), (t1, _, _) = calls
+        assert t1 == t0 + 10 + 1  # the read-write span's first write
+        home = machine.home_of
+        notices = [
+            (t, h) for kind, src, h, t in log
+            if kind == MsgType.WRITE_REQ and src == 0
+        ]
+        if proto == "lrc":
+            # The notice leaves at the upgrading write.
+            assert notices == [(t0, home(b0)), (t1, home(b0 + 1))]
+        elif proto == "lrc-ext":
+            # Deferred: both leave at the barrier, after the spans.
+            assert len(notices) == 2 and min(t for t, _ in notices) > t1
+        else:
+            assert notices == []
+
+    def test_tardis_rw_span_resumes_write_only_after_miss(self):
+        # The read-write span's first read misses; once the fill lands,
+        # its first write opens the entry for all 15 words in one call.
+        def programs(base):
+            def p0():
+                yield (RW_RUN, base + 8, 15, 8)
+                yield (BARRIER, 0)
+                yield (BARRIER, 1)
+
+            return [p0(), bystander()]
+
+        machine, calls, log = self.run_both(programs, "tardis")
+        b0 = machine.space.segments[0].base // LINE
+        fill = [t for kind, src, dst, t in log if kind == MsgType.DATA_REPLY and dst == 0]
+        assert [c[1:] for c in calls] == [(b0, 15)]
+        assert calls[0][0] > fill[0]
+
+    @pytest.mark.parametrize("tail", (0, 1, 2))
+    @pytest.mark.parametrize("kind", (WRITE_RUN, RW_RUN))
+    @pytest.mark.parametrize("line", ("ro", "rw"))
+    @pytest.mark.parametrize("proto", ("lrc", "lrc-ext"))
+    def test_opening_span_ending_past_the_deadline(self, proto, line, kind, tail):
+        # Before the barrier the line is read (RO) or written (RW, and the
+        # barrier's release drains its entry).  After it, the compute gap
+        # places the span's last cycle ``tail`` cycles past the deadline:
+        # a write span fits at 0, a read-write span at 0 and 1; past that
+        # the opening call takes what fits and the rest waits for the
+        # next quantum.
+        k = 12
+        cycles = k if kind == WRITE_RUN else 2 * k
+
+        def programs(base):
+            def p0():
+                yield (READ if line == "ro" else WRITE, base + 8)
+                yield (BARRIER, 0)
+                yield (COMPUTE, QUANTUM - cycles + tail)
+                yield (kind, base + 8, k, 8)
+                yield (BARRIER, 1)
+
+            return [p0(), bystander()]
+
+        machine, calls, _ = self.run_both(programs, proto)
+        b0 = machine.space.segments[0].base // LINE
+        fits = tail <= (0 if kind == WRITE_RUN else 1)
+        first = k if fits else k - (tail if kind == WRITE_RUN else 1)
+        assert calls[-1][1:] == (b0, first)
+
+    def test_classified_run_writes_word_by_word(self):
+        # With a miss classifier every write is logged alone, so an
+        # opening write goes through ``cpu_write`` one word at a time.
+        def programs(base):
+            def p0():
+                yield (READ, base + 8)
+                yield (WRITE_RUN, base + 16, 10, 8)
+                yield (RW_RUN, base + LINE + 8, 40, 8)
+                yield (BARRIER, 0)
+                yield (BARRIER, 1)
+
+            return [p0(), bystander()]
+
+        _, calls, _ = self.run_both(programs, "lrc", classify=True)
+        assert len(calls) > 3
+        assert {n for _, _, n in calls} == {1}
 
 
 class TestMachineReplay:
